@@ -59,7 +59,7 @@ from repro.apps.gpu_apps import gpu_kneighbor, gpu_pingpong
 from repro.apps.kneighbor import kneighbor
 from repro.apps.pingpong import charm_pingpong
 from repro.hardware.config import MachineConfig
-from repro.parallel import ShardedEngine, SweepPoint, resolve_jobs, run_sweep
+from repro.parallel import SweepPoint, resolve_jobs, run_sweep
 from repro.sim import Engine
 from repro.units import KB, MB
 
@@ -164,35 +164,6 @@ def bench_engine_events_mixed(waves: int = 300, width: int = 256) -> dict[str, f
         "final_now_s": eng.now,
         "batch_fired": float(state[0]),
         "waves": float(wave.count),
-    }
-
-
-def bench_sharded_kneighbor() -> dict[str, float]:
-    """Fig-10 kNeighbor on the sharded engine, diffed against sequential.
-
-    Runs the same config on the sequential engine and a 3-shard
-    :class:`ShardedEngine` and requires bit-identical metrics — the
-    determinism contract is re-verified on every benchmark run, not just
-    in the unit suite.  The emitted metrics fold in the shard counters so
-    a change in windowing behaviour shows up as checksum drift.
-    """
-    seq = kneighbor(2 * KB, layer="ugni", iters=60)
-    eng = ShardedEngine(n_shards=3)
-    shd = kneighbor(2 * KB, layer="ugni", iters=60, engine=eng)
-    if repr(seq.iteration_time) != repr(shd.iteration_time):
-        raise RuntimeError(
-            f"sharded engine diverged from sequential: "
-            f"{seq.iteration_time!r} vs {shd.iteration_time!r}")
-    stats = eng.shard_stats()
-    if stats["sequential"]:
-        raise RuntimeError(
-            f"sharded engine fell back to sequential execution "
-            f"({stats['fallback_reason']}) — the benchmark measured nothing")
-    return {
-        "iteration_2KB_s": shd.iteration_time,
-        "windows": float(stats["windows"]),
-        "exchanged_events": float(stats["exchanged_events"]),
-        "lookahead_violations": float(stats["lookahead_violations"]),
     }
 
 
@@ -343,7 +314,6 @@ BENCHMARKS = {
     "kneighbor": bench_kneighbor,
     "engine_events": bench_engine_events,
     "engine_events_mixed": bench_engine_events_mixed,
-    "sharded_kneighbor": bench_sharded_kneighbor,
     "crosslayer": bench_crosslayer,
     "recovery": bench_recovery,
     "gpu_crossover": bench_gpu_crossover,
@@ -357,7 +327,6 @@ BENCHMARK_LAYERS = {
     "kneighbor": ("ugni",),
     "engine_events": (),
     "engine_events_mixed": (),
-    "sharded_kneighbor": ("ugni",),
     "crosslayer": ("ugni", "mpi", "rdma"),
     "recovery": ("ugni",),
     "gpu_crossover": ("gpu",),
@@ -413,8 +382,8 @@ def _measure_round(name: str) -> dict:
 
     Under ``--observe`` / ``REPRO_OBSERVE=1`` every machine also carries
     an observer; the round returns the merged metrics snapshot and its
-    sha256 digest, which must be identical across rounds, ``--jobs``
-    fan-out, and sequential-vs-sharded execution.
+    sha256 digest, which must be identical across rounds and ``--jobs``
+    fan-out.
     """
     from repro import observe, sanitize
 

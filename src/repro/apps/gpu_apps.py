@@ -111,7 +111,6 @@ def gpu_pingpong(
     iters: int = 30,
     warmup: int = 5,
     seed: int = 0,
-    engine: Optional[Any] = None,
 ) -> GpuPingPongResult:
     """One-way latency for a device-resident payload between two nodes.
 
@@ -122,8 +121,7 @@ def gpu_pingpong(
         cores_per_node=1,
         gpus_per_node=max(1, (config or MachineConfig()).gpus_per_node),
         gpu_transport=transport)
-    conv, lrts = make_runtime(n_nodes=2, layer=layer, config=cfg, seed=seed,
-                              engine=engine)
+    conv, lrts = make_runtime(n_nodes=2, layer=layer, config=cfg, seed=seed)
     charm = Charm(conv)
     sink: list[float] = []
     record: list = []
@@ -240,7 +238,6 @@ def gpu_kneighbor(
     iters: int = 10,
     warmup: int = 3,
     seed: int = 0,
-    engine: Optional[Any] = None,
 ) -> GpuKNeighborResult:
     """kNeighbor over device payloads with kernel/communication overlap."""
     cfg = (config or MachineConfig()).replace(
@@ -248,7 +245,7 @@ def gpu_kneighbor(
         gpus_per_node=max(1, (config or MachineConfig()).gpus_per_node),
         gpu_transport=transport)
     conv, lrts = make_runtime(n_nodes=n_cores, layer=layer, config=cfg,
-                              seed=seed, engine=engine)
+                              seed=seed)
     charm = Charm(conv)
     sink: list[float] = []
     record: list = []

@@ -101,19 +101,12 @@ def kneighbor(
     layer_config: Optional[UgniLayerConfig] = None,
     faults: Optional[FaultConfig] = None,
     fault_schedule: Iterable[Any] = (),
-    engine: Optional[Any] = None,
 ) -> KNeighborResult:
-    """Run kNeighbor with one core per node (the paper's placement).
-
-    ``engine`` swaps in an alternative event engine (e.g. a
-    :class:`~repro.parallel.ShardedEngine`) — the determinism regression
-    tests run the same config on both engines and diff the metrics.
-    """
+    """Run kNeighbor with one core per node (the paper's placement)."""
     cfg = (config or MachineConfig()).replace(cores_per_node=1)
     conv, lrts = make_runtime(n_nodes=n_cores, layer=layer, config=cfg,
                               seed=seed, layer_config=layer_config,
-                              faults=faults, fault_schedule=fault_schedule,
-                              engine=engine)
+                              faults=faults, fault_schedule=fault_schedule)
     charm = Charm(conv)
     sink: list[float] = []
     arr = charm.create_array(_Neighbor, n_cores,

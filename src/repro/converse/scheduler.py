@@ -169,15 +169,8 @@ class PE:
         self._kick()
 
     def deliver_at(self, time: float, msg: Message, recv_cpu: float = 0.0) -> None:
-        """Schedule :meth:`enqueue` at an absolute simulated time.
-
-        Routed by node so a sharded engine queues the delivery on this
-        PE's shard — bootstrap injections (``send_from_outside``) arrive
-        from outside any shard context and would otherwise land on shard
-        0 regardless of the target PE.
-        """
-        self.engine.post_at_node(self.node.node_id, time, self.enqueue,
-                                 msg, recv_cpu)
+        """Schedule :meth:`enqueue` at an absolute simulated time."""
+        self.engine.post_at(time, self.enqueue, msg, recv_cpu)
 
     # -- blocking calls (the MPI machine layer's MPI_Recv) -----------------------
     def begin_blocking(self) -> None:
@@ -385,20 +378,14 @@ class ConverseRuntime:
                                ranks: Optional[Iterable[int]] = None) -> None:
         """Inject one bootstrap message per rank (``make_msg(rank)``) at ``at``.
 
-        The per-PE kick that starts every collective/spray benchmark.  On
-        the sequential engine the whole group is armed with one
+        The per-PE kick that starts every collective/spray benchmark.  The
+        whole group is armed with one
         :meth:`~repro.sim.engine.Engine.call_at_batch` — consecutive
         ``seq`` stamps, identical firing order to the equivalent
         :meth:`send_from_outside` loop, but a single validation pass and
-        no per-event Python dispatch.  A sharded engine routes each
-        delivery by node instead (batch staging has no node identity and
-        would land every bootstrap on shard 0).
+        no per-event Python dispatch.
         """
         ranks = range(len(self.pes)) if ranks is None else list(ranks)
-        if getattr(self.engine, "_shards", None) is not None:
-            for r in ranks:
-                self.pes[r].deliver_at(at, make_msg(r))
-            return
         argss = [(self.pes[r], make_msg(r)) for r in ranks]
         self.engine.call_at_batch([at] * len(argss), _bootstrap_enqueue, argss)
 

@@ -16,8 +16,7 @@ with exactly three hardware resources, and this module models all three:
   get a completion callback).
 
 Everything here is pure timing/bookkeeping on the discrete-event engine:
-completions are scheduled with ``call_at_node`` so process-sharded runs
-order them exactly like sequential runs.  Sanitizer hooks follow the
+completions are ordinary ``call_at`` events.  Sanitizer hooks follow the
 repo-wide contract — every call site is ``is None``-guarded and the
 sanitizer never mutates state, so enabling it cannot change results.
 """
@@ -142,11 +141,10 @@ class CopyEngine:
         """Post one copy; credit retires itself at completion time.
 
         Returns the completion time.  ``on_done`` (if given) runs at that
-        time, after the credit retires, via the node-ordered event path.
+        time, after the credit retires.
         """
         done, token = self.begin_copy(now, nbytes)
-        self.engine.call_at_node(self.node_id, done,
-                                 self._complete, token, on_done)
+        self.engine.call_at(done, self._complete, token, on_done)
         return done
 
     def _complete(self, token: int,
@@ -241,7 +239,7 @@ class Gpu:
         self.kernels_launched += 1
         self.kernel_busy_time += duration
         if on_done is not None:
-            self.engine.call_at_node(self.node_id, done, on_done)
+            self.engine.call_at(done, on_done)
         return done
 
     # -- introspection -----------------------------------------------------

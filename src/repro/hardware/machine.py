@@ -39,7 +39,6 @@ class Machine:
         self,
         n_nodes: int,
         config: Optional[MachineConfig] = None,
-        engine: Optional[Engine] = None,
         seed: int = 0,
         trace: Optional[TraceLog] = None,
         torus_dims: Optional[tuple[int, int, int]] = None,
@@ -47,7 +46,7 @@ class Machine:
         if n_nodes < 1:
             raise TopologyError(f"need at least one node, got {n_nodes}")
         self.config = config or MachineConfig()
-        self.engine = engine or Engine()
+        self.engine = Engine()
         self.rng = RngRegistry(seed)
         self.trace = trace
         if self.config.topology == "dragonfly":
@@ -118,12 +117,6 @@ class Machine:
                     self.gpus.append(gpu)
             if self.observer is not None:
                 self.observer.register_gpu_source(self)
-        # A shard-aware engine (repro.parallel.ShardedEngine) learns the
-        # node partition and its conservative lookahead from the machine;
-        # the sequential engine has no such hook and skips this.
-        bind = getattr(self.engine, "bind_machine", None)
-        if bind is not None:
-            bind(self)
 
     def _build_dragonfly(self, n_nodes: int) -> Dragonfly:
         cfg = self.config

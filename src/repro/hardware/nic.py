@@ -94,14 +94,11 @@ class GeminiNIC:
         )
         self.smsg_sent += 1
         arrival = timing.arrival
-        # remote-data lands on the destination node's shard; the TX
-        # completion comes back to this NIC's own node
-        engine.post_at_node(self.network.topology.id_of(dst_coord),
-                            arrival, on_remote_data, arrival)
+        engine.post_at(arrival, on_remote_data, arrival)
         if on_local_cq is not None:
             # TX completion: header ack returns
             t_cq = arrival + cfg.nic_latency
-            engine.post_at_node(self.node_id, t_cq, on_local_cq, t_cq)
+            engine.post_at(t_cq, on_local_cq, t_cq)
         return cpu
 
     # ------------------------------------------------------------------ #
@@ -126,9 +123,6 @@ class GeminiNIC:
         cfg = self.config
         now = self.engine.now if at is None else at
         self.rdma_posted += 1
-        # event routing for sharded engines: data-arrival callbacks fire
-        # on the node where the data lands, completion CQs on this node
-        peer_node = self.network.topology.id_of(peer_coord)
 
         if kind is TransferKind.FMA_PUT:
             cpu = cfg.fma_issue_cpu + nbytes / cfg.fma_put_bandwidth
@@ -138,10 +132,10 @@ class GeminiNIC:
             )
             arrive = timing.arrival
             if on_remote_data is not None:
-                self.engine.post_at_node(peer_node, arrive, on_remote_data, arrive)
+                self.engine.post_at(arrive, on_remote_data, arrive)
             if on_local_cq is not None:
                 t_cq = arrive + cfg.nic_latency + timing.hops * cfg.hop_latency
-                self.engine.post_at_node(self.node_id, t_cq, on_local_cq, t_cq)
+                self.engine.post_at(t_cq, on_local_cq, t_cq)
             return cpu
 
         if kind is TransferKind.FMA_GET:
@@ -155,10 +149,10 @@ class GeminiNIC:
             )
             arrive = timing.arrival
             if on_remote_data is not None:  # pragma: no cover - GETs don't notify
-                self.engine.post_at_node(peer_node, arrive, on_remote_data, arrive)
+                self.engine.post_at(arrive, on_remote_data, arrive)
             if on_local_cq is not None:
                 t_cq = arrive + cfg.cq_event_cpu
-                self.engine.post_at_node(self.node_id, t_cq, on_local_cq, t_cq)
+                self.engine.post_at(t_cq, on_local_cq, t_cq)
             return cpu
 
         # BTE: post descriptor, engine does the work
@@ -179,9 +173,9 @@ class GeminiNIC:
             local_cq = arrive + cfg.cq_event_cpu
         self.bte_available_at = start + setup + nbytes / bw
         if on_remote_data is not None and kind is TransferKind.BTE_PUT:
-            self.engine.post_at_node(peer_node, arrive, on_remote_data, arrive)
+            self.engine.post_at(arrive, on_remote_data, arrive)
         if on_local_cq is not None:
-            self.engine.post_at_node(self.node_id, local_cq, on_local_cq, local_cq)
+            self.engine.post_at(local_cq, on_local_cq, local_cq)
         return cpu
 
     def failed_transfer(
@@ -224,7 +218,7 @@ class GeminiNIC:
             self.bte_available_at = start + setup + wasted / bw
         t_err = timing.arrival + cfg.nic_latency + timing.hops * cfg.hop_latency
         # the error CQ event comes back to the initiating node
-        self.engine.post_at_node(self.node_id, t_err, on_error, t_err)
+        self.engine.post_at(t_err, on_error, t_err)
         return cpu
 
     def best_kind(self, nbytes: int, put: bool) -> TransferKind:
@@ -255,7 +249,7 @@ class GeminiNIC:
         duration = 2 * cfg.nic_latency + nbytes / cfg.nic_loopback_bandwidth
         self.loopback_available_at = start + nbytes / cfg.nic_loopback_bandwidth
         arrive = start + duration
-        self.engine.post_at_node(self.node_id, arrive, on_remote_data, arrive)
+        self.engine.post_at(arrive, on_remote_data, arrive)
         return cpu
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -106,17 +106,6 @@ class TorusNetwork:
         self._faulted.discard((frm, to))
 
     @property
-    def faulted_links(self) -> int:
-        """Directed links currently down or degraded (0 = healthy fabric).
-
-        The sharded engine polls this at window barriers: any outstanding
-        link fault invalidates the lookahead bound (fault retry latency
-        and crawl-mode bandwidth change arrival times mid-window), so it
-        falls back to sequential execution.
-        """
-        return len(self._faulted)
-
-    @property
     def route_mode(self) -> str:
         """Active routing policy: ``"adaptive"`` or ``"dimension-ordered"``.
 

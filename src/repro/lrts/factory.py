@@ -72,7 +72,6 @@ def make_runtime(
     seed: int = 0,
     tracer: Any = None,
     machine: Optional[Machine] = None,
-    engine: Optional[Any] = None,
     faults: Optional[FaultConfig] = None,
     fault_schedule: Iterable[Any] = (),
     **layer_kw: Any,
@@ -81,15 +80,11 @@ def make_runtime(
 
     ``faults`` / ``fault_schedule`` install a :class:`FaultInjector`
     (bound to the runtime so node crashes halt PEs); both default to
-    nothing, leaving ``machine.faults`` as ``None``.  ``engine`` swaps in
-    an alternative event engine — e.g. a
-    :class:`~repro.parallel.ShardedEngine` — for the machine to build on.
+    nothing, leaving ``machine.faults`` as ``None``.
     """
     if machine is None:
         machine = make_machine(n_pes=n_pes, n_nodes=n_nodes, config=config,
-                               seed=seed, engine=engine)
-    elif engine is not None:
-        raise LrtsError("pass either a prebuilt machine or an engine, not both")
+                               seed=seed)
     conv = ConverseRuntime(machine, tracer=tracer, n_pes=n_pes)
     lrts = make_layer(machine, layer=layer, layer_config=layer_config,
                       **layer_kw)

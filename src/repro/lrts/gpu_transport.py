@@ -116,10 +116,8 @@ class GpuTransportMixin:
                 f"(want 'auto', 'staged', or 'direct')")
 
         self.deliver(dst_rank, msg, recv_cpu, at=done)
-        # retire the landing buffer once the payload has been handed up;
-        # node-ordered so process-sharded runs replay identically
-        machine.engine.call_at_node(dst_gpu.node_id, done,
-                                    dst_gpu.free, landing)
+        # retire the landing buffer once the payload has been handed up
+        machine.engine.call_at(done, dst_gpu.free, landing)
 
     def _gpu_send_d2d(self, src_pe: "PE", dst_rank: int, msg: "Message",
                       total: int, src_gpu: Any, machine: Any, cfg: Any,
@@ -138,8 +136,7 @@ class GpuTransportMixin:
         # CUDA P2P convention: the source device drives the transfer)
         done = src_gpu.d2h.submit(t0, total)
         self.deliver(dst_rank, msg, cfg.cq_event_cpu, at=done)
-        machine.engine.call_at_node(dst_gpu.node_id, done,
-                                    dst_gpu.free, landing)
+        machine.engine.call_at(done, dst_gpu.free, landing)
 
     def gpu_stats(self) -> dict[str, Any]:
         """Device-path counters, folded into the host layer's stats()

@@ -154,8 +154,8 @@ class RcQueuePair:
 
         fab._ud_send(self.src, self.dst, at=at, on_deliver=on_req)
         if fab.machine.faults is not None:
-            fab.machine.engine.call_at_node(
-                self.src_node, at + fab.lcfg.connect_retry, self._reconnect)
+            fab.machine.engine.call_at(
+                at + fab.lcfg.connect_retry, self._reconnect)
 
     def _reconnect(self) -> None:
         if self.state != "connecting":
@@ -200,13 +200,13 @@ class RcQueuePair:
             if faults.smsg_delivery_fails(self.src, self.dst):
                 if attempt >= fab.lcfg.retry_count:
                     fab.rc_giveups += 1
-                    machine.engine.call_at_node(
-                        self.src_node, at + fab.lcfg.retransmit_timeout,
+                    machine.engine.call_at(
+                        at + fab.lcfg.retransmit_timeout,
                         self._abandon, tag, nbytes, payload)
                     return
                 fab.rc_retransmits += 1
-                machine.engine.call_at_node(
-                    self.src_node, at + fab.lcfg.retransmit_timeout,
+                machine.engine.call_at(
+                    at + fab.lcfg.retransmit_timeout,
                     self._xmit, seq, tag, nbytes, payload, attempt + 1,
                     at + fab.lcfg.retransmit_timeout)
                 return
@@ -217,13 +217,11 @@ class RcQueuePair:
             at, fab._coord[self.src_node], fab._coord[self.dst_node], nbytes,
             bandwidth_cap=cfg.rdma_send_bandwidth)
         arrival = timing.arrival + stall
-        machine.engine.call_at_node(
-            self.dst_node, arrival, self._rx, seq, tag, nbytes, payload,
-            arrival)
+        machine.engine.call_at(
+            arrival, self._rx, seq, tag, nbytes, payload, arrival)
         # hardware ACK returns the credit one completion latency later
-        machine.engine.call_at_node(
-            self.src_node, arrival + cfg.rdma_completion_latency,
-            self._tx_complete)
+        machine.engine.call_at(
+            arrival + cfg.rdma_completion_latency, self._tx_complete)
 
     def _abandon(self, tag: str, nbytes: int, payload: Any) -> None:
         """Retry budget exhausted: reclaim the credit, drop the WQE."""
@@ -326,9 +324,8 @@ class RdmaFabric:
             stall = faults.smsg_stall_delay(src_rank, dst_rank)
         timing = machine.network.transfer(
             at, self._coord[src_node], self._coord[dst_node], UD_DGRAM_BYTES)
-        machine.engine.call_at_node(
-            dst_node, timing.arrival + stall, on_deliver,
-            timing.arrival + stall)
+        machine.engine.call_at(
+            timing.arrival + stall, on_deliver, timing.arrival + stall)
 
     # -- eager staging pools ----------------------------------------------------
     def eager_pool(self, rank: int) -> float:
@@ -416,12 +413,11 @@ class RdmaFabric:
                 if san is not None and token is not None:
                     san.on_rdma_retire(token, err_t)
                 if on_error is not None:
-                    machine.engine.call_at_node(
-                        initiator_node, err_t, on_error, err_t)
+                    machine.engine.call_at(err_t, on_error, err_t)
                 return
             self.rdma_retransmits += 1
-            machine.engine.call_at_node(
-                initiator_node, err_t + self.lcfg.retransmit_timeout,
+            machine.engine.call_at(
+                err_t + self.lcfg.retransmit_timeout,
                 self._rdma_attempt, initiator_node, kind, desc, on_done,
                 on_error, token, attempt + 1,
                 err_t + self.lcfg.retransmit_timeout)
@@ -448,7 +444,7 @@ class RdmaFabric:
                 on_done(t)
         else:
             complete = on_done
-        machine.engine.call_at_node(initiator_node, done_t, complete, done_t)
+        machine.engine.call_at(done_t, complete, done_t)
 
     # -- diagnostics --------------------------------------------------------------
     def stats(self) -> dict[str, Any]:

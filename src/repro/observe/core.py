@@ -27,7 +27,7 @@ Projections-style per-PE timeline for free.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro._env import env_flag
 from repro.observe.flight import FlightRecorder
@@ -81,11 +81,10 @@ def collect_snapshot() -> dict[str, Any]:
     return dict(sorted(merged.items()))
 
 
-def metrics_digest(exclude: Iterable[str] = (),
-                   snapshot: Optional[dict[str, Any]] = None) -> str:
+def metrics_digest(snapshot: Optional[dict[str, Any]] = None) -> str:
     """sha256 digest of the merged snapshot (see MetricsRegistry.digest)."""
     snap = collect_snapshot() if snapshot is None else snapshot
-    return MetricsRegistry().digest(exclude=exclude, snapshot=snap)
+    return MetricsRegistry().digest(snapshot=snap)
 
 
 #: recovery events that mean "the runtime gave up on a message/post" —
@@ -149,11 +148,7 @@ class Observer:
     @staticmethod
     def _engine_stats(machine: "Machine") -> dict[str, Any]:
         engine = machine.engine
-        shard_stats = getattr(engine, "shard_stats", None)
-        if shard_stats is not None:
-            return shard_stats()
-        return {"events": getattr(engine, "events_executed", None),
-                "now": engine.now}
+        return {"events": engine.events_executed, "now": engine.now}
 
     @staticmethod
     def _net_stats(machine: "Machine") -> dict[str, Any]:
@@ -332,8 +327,8 @@ class Observer:
     def snapshot(self) -> dict[str, Any]:
         return self.metrics.snapshot()
 
-    def digest(self, exclude: Iterable[str] = ()) -> str:
-        return self.metrics.digest(exclude=exclude)
+    def digest(self) -> str:
+        return self.metrics.digest()
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<Observer machine={self.machine!r} "

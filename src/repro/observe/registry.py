@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 #: default histogram bin width in simulated seconds (10 µs — fine enough
 #: to resolve per-iteration phases of the paper's microbenchmarks)
@@ -119,21 +119,11 @@ class MetricsRegistry:
                 out[f"hist/{name}/{bin_}"] = [count, total]
         return dict(sorted(out.items()))
 
-    def digest(self, exclude: Iterable[str] = (),
-               snapshot: dict[str, Any] | None = None) -> str:
-        """sha256 over the canonical snapshot rendering.
-
-        ``exclude`` drops keys containing any of the given substrings —
-        used by the sequential-vs-sharded parity check to mask metrics
-        whose values legitimately depend on the engine implementation
-        (``engine/`` window/barrier counters).
-        """
+    def digest(self, snapshot: dict[str, Any] | None = None) -> str:
+        """sha256 over the canonical snapshot rendering."""
         snap = self.snapshot() if snapshot is None else snapshot
-        exclude = tuple(exclude)
         h = hashlib.sha256()
         for key, value in sorted(snap.items()):
-            if any(sub in key for sub in exclude):
-                continue
             h.update(f"{key}={json.dumps(value, sort_keys=True)}\n".encode())
         return h.hexdigest()
 

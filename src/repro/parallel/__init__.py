@@ -1,22 +1,12 @@
-"""Multi-core scale-out: parallel sweeps + sharded event engine.
+"""Multi-core scale-out: a deterministic process-pool sweep runner.
 
-Two layers, one determinism contract (documented in DESIGN.md):
-
-* :mod:`repro.parallel.sweep` — a process-pool runner for *independent*
-  sweep points (the benchmark grids behind every paper figure), with
-  spawn-key seeding so results are byte-identical at any job count.
-* :mod:`repro.parallel.sharded_engine` — a conservative-lookahead
-  sharded event engine that partitions hardware nodes across shards and
-  advances them in lookahead-bounded synchronization windows, producing
-  bit-identical results to the sequential :class:`repro.sim.engine.Engine`.
-* :mod:`repro.parallel.process_shards` — shard workers in separate OS
-  processes (replicated conservative execution): every worker runs the
-  windowed replica, pickles each window's cross-shard exchange batch
-  into a sha256 chain, and the parent asserts byte-identical parity at
-  any worker count.
+:mod:`repro.parallel.sweep` runs *independent* sweep points (the
+benchmark grids behind every paper figure) across worker processes, with
+spawn-key seeding so results are byte-identical at any job count (the
+determinism contract is documented in DESIGN.md).  The simulation itself
+always runs on the sequential :class:`repro.sim.engine.Engine`.
 """
 
-from repro.parallel.sharded_engine import ShardedEngine
 from repro.parallel.sweep import (
     JOBS_ENV,
     SweepPoint,
@@ -28,22 +18,9 @@ from repro.sim.rng import spawn_seed
 
 __all__ = [
     "JOBS_ENV",
-    "ShardedEngine",
     "SweepPoint",
-    "WindowDigestEngine",
     "resolve_jobs",
-    "run_process_sharded",
     "run_sweep",
     "sweep_map",
     "spawn_seed",
 ]
-
-
-def __getattr__(name):
-    # Lazy: importing these at package-init time would shadow
-    # ``python -m repro.parallel.process_shards`` (runpy re-executes the
-    # submodule it finds already imported).
-    if name in ("WindowDigestEngine", "run_process_sharded"):
-        from repro.parallel import process_shards
-        return getattr(process_shards, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -103,10 +103,11 @@ def run_sweep(
     if n_jobs <= 1 or len(points) <= 1:
         return [p() for p in points]
     for p in points:
-        if getattr(p.fn, "__name__", "<lambda>") == "<lambda>":
+        qualname = getattr(p.fn, "__qualname__", "<lambda>")
+        if "<lambda>" in qualname or "<locals>" in qualname:
             raise ValueError(
-                f"sweep point {p.label!r} wraps a lambda, which worker "
-                "processes cannot import; use a module-level function")
+                f"sweep point {p.label!r} wraps a lambda or closure, which "
+                "worker processes cannot import; use a module-level function")
     try:
         ctx = _pool_context()
         with ctx.Pool(processes=min(n_jobs, len(points))) as pool:

@@ -480,31 +480,6 @@ core_post_after(Core *c, PyObject *const *args, Py_ssize_t nargs)
 }
 
 static PyObject *
-core_call_at_node(Core *c, PyObject *const *args, Py_ssize_t nargs)
-{
-    /* The node identity carries no information on a sequential core;
-     * drop it and fall through to call_at.  (A sharded engine never
-     * binds the C core — it needs the overridable Python paths.) */
-    if (nargs < 3) {
-        PyErr_SetString(PyExc_TypeError,
-                        "call_at_node() requires (node_id, time, fn)");
-        return NULL;
-    }
-    return core_call_at_impl(c, args + 1, nargs - 1, "call_at_node", 1);
-}
-
-static PyObject *
-core_post_at_node(Core *c, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs < 3) {
-        PyErr_SetString(PyExc_TypeError,
-                        "post_at_node() requires (node_id, time, fn)");
-        return NULL;
-    }
-    return core_call_at_impl(c, args + 1, nargs - 1, "post_at_node", 0);
-}
-
-static PyObject *
 core_call_soon(Core *c, PyObject *const *args, Py_ssize_t nargs)
 {
     if (nargs < 1) {
@@ -897,8 +872,6 @@ static PyMethodDef core_methods[] = {
     {"call_at", (PyCFunction)core_call_at, METH_FASTCALL, NULL},
     {"call_after", (PyCFunction)core_call_after, METH_FASTCALL, NULL},
     {"call_soon", (PyCFunction)core_call_soon, METH_FASTCALL, NULL},
-    {"call_at_node", (PyCFunction)core_call_at_node, METH_FASTCALL, NULL},
-    {"post_at_node", (PyCFunction)core_post_at_node, METH_FASTCALL, NULL},
     {"post_at", (PyCFunction)core_post_at, METH_FASTCALL, NULL},
     {"post_after", (PyCFunction)core_post_after, METH_FASTCALL, NULL},
     {"post_soon", (PyCFunction)core_post_soon, METH_FASTCALL, NULL},

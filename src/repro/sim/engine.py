@@ -86,8 +86,8 @@ _FREE, _PENDING, _CANCELLED = 0, 1, 2
 #: _core_eligible audits exactly these names, so a method can never be
 #: forwarded to the core without also being guarded against overrides.
 _CORE_FORWARDED = (
-    "call_at", "call_after", "call_soon", "call_at_node",
-    "post_at", "post_after", "post_soon", "post_at_node",
+    "call_at", "call_after", "call_soon",
+    "post_at", "post_after", "post_soon",
     "step", "peek", "stop",
 )
 
@@ -204,9 +204,8 @@ class Engine:
         # The compiled slab core carries the whole hot path when it is
         # available.  Binding its methods *over* the instance shadows the
         # pure-Python definitions below, which remain as the executable
-        # specification, the no-compiler fallback, and the base that
-        # ShardedEngine's overridable _arm/_stage hooks build on —
-        # subclasses therefore never bind the core.
+        # specification and the no-compiler fallback.  Subclasses and a
+        # class-patched Engine run pure (see _core_eligible).
         core = None
         if _CORE_CLS is not None and _core_eligible(type(self)):
             core = _CORE_CLS(SimulationError)
@@ -284,10 +283,8 @@ class Engine:
     def _stage(self, time: float, fn: Callable, args: tuple) -> int:
         """Arm one handle-less event (slot alloc + staging); returns its slot.
 
-        The overridable no-handle arming primitive: ``post_*`` and the
-        batch API land here, and :class:`~repro.parallel.ShardedEngine`
-        overrides it to route onto the current shard.  :meth:`_arm` is
-        this plus handle construction, inlined.
+        The no-handle arming primitive: ``post_*`` and the batch API land
+        here.  :meth:`_arm` is this plus handle construction, inlined.
         """
         seq = self._seq
         self._seq = seq + 1
@@ -416,18 +413,6 @@ class Engine:
         """Schedule ``fn(*args)`` at the current time (after pending ties)."""
         return self._arm(self._now, fn, args)
 
-    def call_at_node(self, node_id: int, time: float, fn: Callable,
-                     *args: Any) -> EventHandle:
-        """Schedule an event that *belongs to* hardware node ``node_id``.
-
-        Cross-node event injection points (SMSG arrival, RDMA completion,
-        PE message delivery) route through here so that a sharded engine
-        (:class:`repro.parallel.ShardedEngine`) can place the event on the
-        owning shard's queue.  On the sequential engine the node identity
-        carries no information and this is exactly :meth:`call_at`.
-        """
-        return self.call_at(time, fn, *args)
-
     # -- fire-and-forget scheduling (no handle) -----------------------------
     def post_at(self, time: float, fn: Callable, *args: Any) -> None:
         """:meth:`call_at` without building a handle.
@@ -456,11 +441,6 @@ class Engine:
     def post_soon(self, fn: Callable, *args: Any) -> None:
         """:meth:`call_soon` without building a handle."""
         self._stage(self._now, fn, args)
-
-    def post_at_node(self, node_id: int, time: float, fn: Callable,
-                     *args: Any) -> None:
-        """:meth:`call_at_node` without building a handle."""
-        self.post_at(time, fn, *args)
 
     # -- batch scheduling ----------------------------------------------------
     def call_at_batch(self, times: Sequence[float], fn: Callable,

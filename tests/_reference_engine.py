@@ -196,18 +196,6 @@ class ReferenceEngine:
         """Schedule ``fn(*args)`` at the current time (after pending ties)."""
         return self._push(self._now, fn, args)
 
-    def call_at_node(self, node_id: int, time: float, fn: Callable,
-                     *args: Any) -> EventHandle:
-        """Schedule an event that *belongs to* hardware node ``node_id``.
-
-        Cross-node event injection points (SMSG arrival, RDMA completion,
-        PE message delivery) route through here so that a sharded engine
-        (:class:`repro.parallel.ShardedEngine`) can place the event on the
-        owning shard's queue.  On the sequential engine the node identity
-        carries no information and this is exactly :meth:`call_at`.
-        """
-        return self.call_at(time, fn, *args)
-
     # -- event objects --------------------------------------------------------
     def event(self) -> "ReferenceEvent":
         """Create a fresh one-shot :class:`ReferenceEvent` bound to this engine."""

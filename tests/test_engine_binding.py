@@ -68,19 +68,20 @@ class TestSubclassBinding:
         assert seen, "the post_soon override never saw the call"
         assert log == run_workload(Engine())
 
-    def test_subclass_overriding_post_at_node_runs_pure(self):
+    def test_subclass_overriding_post_at_runs_pure(self):
         posted = []
 
-        class NodeTap(Engine):
-            def post_at_node(self, node_id, t, fn, *args):
-                posted.append(node_id)
-                return super().post_at_node(node_id, t, fn, *args)
+        class TimeTap(Engine):
+            def post_at(self, t, fn, *args):
+                posted.append(t)
+                return super().post_at(t, fn, *args)
 
-        eng = NodeTap()
+        eng = TimeTap()
         assert eng._core is None
         fired = []
-        eng.call_at_node(3, 1e-9, fired.append, "x")
+        eng.post_at(1e-9, fired.append, "x")
         eng.run()
+        assert posted == [1e-9]
         assert fired == ["x"]
 
     def test_passthrough_subclass_runs_pure(self):

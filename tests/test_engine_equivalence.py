@@ -12,17 +12,10 @@ The production engine is exercised in **both** backends in-process:
 * ``Engine()`` — binds the compiled C core when it is available;
 * ``PureEngine`` (a trivial subclass) — the core is only bound when
   ``type(self) is Engine``, so any subclass runs the pure-Python slab
-  paths.  This is the same mechanism that keeps ``ShardedEngine`` on the
-  overridable Python hot path.
-
-Process-shard parity (workers 1/2/4) and the checksum pin between
-``process_shards.sim_checksum`` and the benchmark harness live here too —
-they are the same contract at process scope.
+  paths.
 """
 
-import importlib.util
 import math
-import pathlib
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -233,47 +226,3 @@ def test_peek_is_pure(factory):
     assert live == 1
     eng.run()
     assert eng.events_executed == 1
-
-
-# --------------------------------------------------------------------- #
-# process-shard parity: workers 1 / 2 / 4 are byte-identical
-# --------------------------------------------------------------------- #
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_process_shard_parity(workers):
-    from repro.parallel.process_shards import (kneighbor_point,
-                                               run_process_sharded)
-    out = run_process_sharded(
-        kneighbor_point,
-        {"pes": 8, "size": 256, "k": 1, "iters": 2},
-        workers=workers, n_shards=2, label="parity-test")
-    assert out["parity"] is True
-    assert out["workers"] == workers
-    # same replica regardless of worker count: pin the artifacts across
-    # the parametrize axis via module-level accumulation
-    _PARITY_SEEN.setdefault("checksum", out["checksum"])
-    _PARITY_SEEN.setdefault("digest", out["exchange_digest"])
-    assert out["checksum"] == _PARITY_SEEN["checksum"]
-    assert out["exchange_digest"] == _PARITY_SEEN["digest"]
-    assert out["shard_stats"]["windows_digested"] > 0
-
-
-_PARITY_SEEN: dict = {}
-
-
-# --------------------------------------------------------------------- #
-# checksum pin: process_shards.sim_checksum == benchmark harness checksum
-# --------------------------------------------------------------------- #
-def test_sim_checksum_matches_bench_harness():
-    from repro.parallel.process_shards import sim_checksum
-    path = pathlib.Path(__file__).parent.parent / "benchmarks" / "run_all.py"
-    spec = importlib.util.spec_from_file_location("run_all", path)
-    run_all = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(run_all)
-    sims = [
-        {"a": 1.0, "b": 2.5e-7},
-        {"latency_s": 1.2345678901234567e-06, "bw_MBps": 4321.0},
-        {},
-        {"neg": -0.0, "inf_adjacent": 1e308},
-    ]
-    for sim in sims:
-        assert sim_checksum(sim) == run_all.checksum(sim)

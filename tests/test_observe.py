@@ -3,8 +3,8 @@
 The contract under test (DESIGN.md §12):
 
 * **observer-only** — simulated results are bit-identical with
-  observability on or off, at any ``--jobs`` count, sequential or
-  sharded, sanitizer on or off;
+  observability on or off, at any ``--jobs`` count, sanitizer on or
+  off;
 * **causal tracing** — every delivered message owns a complete span
   (``send`` → ``deliver`` → ``exec``) with monotone non-decreasing
   engine-clock stage times, on all three machine layers, including under
@@ -35,7 +35,6 @@ from repro.observe import (
     format_timeline,
     pe_utilization,
 )
-from repro.parallel import ShardedEngine
 from repro.sim.trace import TraceLog
 from repro.units import KB
 
@@ -46,13 +45,11 @@ FAST = dict(reliability=True, max_retries=3,
 LAYERS = ("ugni", "mpi", "rdma")
 
 
-def observed_kneighbor(layer="ugni", size=4 * KB, iters=5, engine=None,
-                       **cfg_kw):
+def observed_kneighbor(layer="ugni", size=4 * KB, iters=5, **cfg_kw):
     """Run one observed kNeighbor and return (result, observer)."""
     observe.clear_registry()
     cfg = MachineConfig(observe=True, **cfg_kw)
-    result = kneighbor(size, layer=layer, iters=iters, config=cfg,
-                       engine=engine)
+    result = kneighbor(size, layer=layer, iters=iters, config=cfg)
     return result, observe.active_observers()[0]
 
 
@@ -155,7 +152,7 @@ class TestMetricsRegistry:
         assert snap["gauge/pool"] == 1
         assert snap["gauge/pool#2"] == 2
 
-    def test_digest_stable_and_excludes(self):
+    def test_digest_stable(self):
         a, b = MetricsRegistry(), MetricsRegistry()
         for reg in (a, b):
             reg.inc("x", 5)
@@ -163,7 +160,6 @@ class TestMetricsRegistry:
         assert a.digest() == b.digest()
         b.gauge("engine/now", 2.0)
         assert a.digest() != b.digest()
-        assert a.digest(exclude=("engine",)) == b.digest(exclude=("engine",))
 
 
 # --------------------------------------------------------------------- #
@@ -264,34 +260,12 @@ class TestMetricsDeterminism:
                         config=MachineConfig())
         assert repr(on.iteration_time) == repr(off.iteration_time)
 
-    def test_sequential_vs_sharded_digest_parity(self):
-        """Same run on the sharded engine: identical metrics except the
-        engine's own window/barrier counters (masked by ``exclude``)."""
-        _, seq_obs = observed_kneighbor(size=2 * KB, iters=10)
-        seq_snap = observe.collect_snapshot()
-        seq_digest = observe.metrics_digest(exclude=("engine",),
-                                            snapshot=seq_snap)
-        eng = ShardedEngine(n_shards=3)
-        observed_kneighbor(size=2 * KB, iters=10, engine=eng)
-        shd_snap = observe.collect_snapshot()
-        shd_digest = observe.metrics_digest(exclude=("engine",),
-                                            snapshot=shd_snap)
-        assert not eng.shard_stats()["sequential"]
-        assert seq_digest == shd_digest
-        # the masked keys really did differ (the test has teeth): the
-        # sequential engine exports events/now, the sharded one its
-        # window counters — unmasked digests cannot match
-        assert "gauge/engine/windows" in shd_snap
-        assert "gauge/engine/windows" not in seq_snap
-        assert observe.metrics_digest(snapshot=seq_snap) != \
-            observe.metrics_digest(snapshot=shd_snap)
-
-    def test_shard_and_pool_stats_exported(self):
-        eng = ShardedEngine(n_shards=3)
-        observed_kneighbor(size=2 * KB, iters=10, engine=eng)
+    def test_engine_and_pool_stats_exported(self):
+        _, obs = observed_kneighbor(size=2 * KB, iters=10)
         snap = observe.collect_snapshot()
-        assert snap["gauge/engine/n_shards"] == 3
-        assert snap["gauge/engine/windows"] > 0
+        engine_keys = sorted(k for k in snap if k.startswith("gauge/engine/"))
+        assert engine_keys == ["gauge/engine/events", "gauge/engine/now"]
+        assert snap["gauge/engine/events"] == obs.machine.engine.events_executed
         pool_keys = [k for k in snap if k.startswith("gauge/pool/")]
         assert pool_keys, "mempool occupancy missing from the snapshot"
 

@@ -1,12 +1,12 @@
-"""Memory pool and registration cache driven from multiple shards.
+"""Memory pool and registration cache driven from events on many nodes.
 
-The sharded engine executes each node's events in that node's shard, so
-allocator state is touched from several shard contexts within one run.
-These tests drive :class:`MemoryPool` and :class:`RegistrationCache`
-through event schedules spread across shards and assert the accounting
-stays exact — including the property that no alloc/free interleaving
-ever double-allocates overlapping space, and that a sharded run's
-allocation sequence is bit-identical to the sequential engine's.
+Allocator state is touched from events belonging to several nodes,
+interleaved in one run of the engine.  These tests drive
+:class:`MemoryPool` and :class:`RegistrationCache` through event
+schedules spread across nodes and assert the accounting stays exact —
+including the property that no alloc/free interleaving ever
+double-allocates overlapping space, and that the same schedule replays
+to the same allocation sequence.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from hypothesis import strategies as st
 from repro.hardware import Machine
 from repro.hardware.config import tiny as tiny_config
 from repro.memory import MemoryPool, RegistrationCache
-from repro.parallel import ShardedEngine
-from repro.sim.engine import Engine
 from repro.ugni.api import GniJob
 from repro.units import KB
 
@@ -26,20 +24,20 @@ N_NODES = 4
 TICK = 1e-6
 
 
-def _make(engine):
-    m = Machine(n_nodes=N_NODES, config=tiny_config(cores_per_node=1),
-                engine=engine)
+def _make():
+    m = Machine(n_nodes=N_NODES, config=tiny_config(cores_per_node=1))
     return m, GniJob(m)
 
 
-def _drive_pools(engine, ops):
-    """Schedule ``(node, size, start, hold)`` allocs across shards.
+def _drive_pools(ops):
+    """Schedule ``(node, size, start, hold)`` allocs across nodes.
 
     Every alloc checks it does not overlap any live block of its pool,
-    holds the block for ``hold`` ticks, then frees it from an event on
-    the same node.  Returns the exact allocation trace.
+    holds the block for ``hold`` ticks, then frees it from a later
+    event.  Returns the exact allocation trace.
     """
-    m, job = _make(engine)
+    m, job = _make()
+    engine = m.engine
     pools = {n: MemoryPool(job, node_id=n, initial_bytes=64 * KB,
                            expand_bytes=64 * KB) for n in range(N_NODES)}
     live = {n: [] for n in range(N_NODES)}
@@ -57,11 +55,10 @@ def _drive_pools(engine, ops):
                 f"{blk!r} vs {other!r}")
         live[node].append(blk)
         trace.append((node, blk.addr, blk.size))
-        engine.call_at_node(node, engine.now + hold * TICK,
-                            do_free, node, blk)
+        engine.call_at(engine.now + hold * TICK, do_free, node, blk)
 
     for node, size, start, hold in ops:
-        engine.call_at_node(node, start * TICK, do_alloc, node, size, hold)
+        engine.call_at(start * TICK, do_alloc, node, size, hold)
     engine.run()
 
     for n, pool in pools.items():
@@ -71,10 +68,10 @@ def _drive_pools(engine, ops):
     return trace, pools
 
 
-class TestShardedPool:
+class TestMultiNodePool:
     OPS = st.lists(
         st.tuples(
-            st.integers(0, N_NODES - 1),   # owning node (-> shard)
+            st.integers(0, N_NODES - 1),   # owning node
             st.integers(1, 32 * 1024),     # size
             st.integers(1, 40),            # start tick
             st.integers(1, 30),            # hold ticks
@@ -84,38 +81,27 @@ class TestShardedPool:
 
     @settings(max_examples=25, deadline=None)
     @given(OPS)
-    def test_property_no_double_alloc_across_shards(self, ops):
-        eng = ShardedEngine(n_shards=2)
-        trace, _ = _drive_pools(eng, ops)
-        assert not eng.shard_stats()["sequential"]
-        # the same schedule on the sequential engine allocates the exact
-        # same addresses in the exact same order
-        seq_trace, _ = _drive_pools(Engine(), ops)
-        assert trace == seq_trace
+    def test_property_no_double_alloc_across_nodes(self, ops):
+        trace, _ = _drive_pools(ops)
+        # a rerun of the same schedule allocates the exact same
+        # addresses in the exact same order
+        assert _drive_pools(ops)[0] == trace
 
-    def test_expansion_driven_from_both_shards(self):
-        # nodes 0 (shard 0) and 3 (shard 1) overflow their arenas in the
-        # same simulated instant; each pool expands independently
-        eng = ShardedEngine(n_shards=2)
+    def test_expansion_driven_from_two_nodes(self):
+        # nodes 0 and 3 overflow their arenas in the same simulated
+        # instant; each pool expands independently
         ops = [(node, 48 * 1024, t, 50)
                for t in (1, 2) for node in (0, 3)]
-        _, pools = _drive_pools(eng, ops)
+        _, pools = _drive_pools(ops)
         assert pools[0].expansions == 1
         assert pools[3].expansions == 1
         assert pools[1].expansions == pools[2].expansions == 0
 
-    def test_expansion_counts_match_sequential(self):
-        ops = [(n, 40 * 1024, t, 3) for t in (1, 5, 9, 13)
-               for n in range(N_NODES)]
-        _, shd = _drive_pools(ShardedEngine(n_shards=2), ops)
-        _, seq = _drive_pools(Engine(), ops)
-        for n in range(N_NODES):
-            assert shd[n].expansions == seq[n].expansions
 
-
-def _drive_caches(engine, capacity=2, rounds=3):
-    """Interleave lookups of distinct blocks on every node's shard."""
-    m, job = _make(engine)
+def _drive_caches(capacity=2, rounds=3):
+    """Interleave lookups of distinct blocks on every node."""
+    m, job = _make()
+    engine = m.engine
     caches = {n: RegistrationCache(job, node_id=n, capacity=capacity)
               for n in range(N_NODES)}
     blocks = {n: [m.nodes[n].memory.malloc(4 * KB) for _ in range(4)]
@@ -130,32 +116,23 @@ def _drive_caches(engine, capacity=2, rounds=3):
         for i in range(4):
             for node in range(N_NODES):
                 t += 1
-                engine.call_at_node(node, t * TICK, do_lookup, node, i)
+                engine.call_at(t * TICK, do_lookup, node, i)
     engine.run()
     return caches
 
 
-class TestShardedRegCache:
-    def test_eviction_across_shards(self):
-        eng = ShardedEngine(n_shards=2)
-        caches = _drive_caches(eng, capacity=2, rounds=3)
-        assert not eng.shard_stats()["sequential"]
+class TestMultiNodeRegCache:
+    def test_eviction_across_nodes(self):
+        caches = _drive_caches(capacity=2, rounds=3)
         for n, cache in caches.items():
             # 4 distinct blocks cycling through a 2-entry cache: every
             # round re-registers, evicting the oldest unpinned entry
             assert cache.evictions > 0
             assert len(cache) <= 2
 
-    def test_counters_match_sequential(self):
-        shd = _drive_caches(ShardedEngine(n_shards=2))
-        seq = _drive_caches(Engine())
-        for n in range(N_NODES):
-            assert (shd[n].hits, shd[n].misses, shd[n].evictions) == \
-                   (seq[n].hits, seq[n].misses, seq[n].evictions)
-
-    def test_pinned_entries_survive_sharded_pressure(self):
-        eng = ShardedEngine(n_shards=2)
-        m, job = _make(eng)
+    def test_pinned_entries_survive_pressure(self):
+        m, job = _make()
+        eng = m.engine
         cache = RegistrationCache(job, node_id=3, capacity=1)
         a = m.nodes[3].memory.malloc(4 * KB)
         b = m.nodes[3].memory.malloc(4 * KB)
@@ -169,8 +146,8 @@ class TestShardedRegCache:
             h, _ = cache.lookup(b)
             cache.unpin(h)
 
-        eng.call_at_node(3, 1 * TICK, pin_first)
-        eng.call_at_node(3, 2 * TICK, press)
+        eng.call_at(1 * TICK, pin_first)
+        eng.call_at(2 * TICK, press)
         eng.run()
         assert pinned[0].valid  # pinned -> survived capacity pressure
         assert len(cache) == 2  # over capacity rather than deadlocked

@@ -143,11 +143,17 @@ class TestRunSweep:
         assert run_sweep(pts, jobs=1, root_seed=5) == [(0, 99)]
 
     def test_lambda_rejected_in_parallel_mode(self):
-        pts = [SweepPoint(lambda: 1), SweepPoint(lambda: 2)]
-        with pytest.raises(ValueError, match="lambda"):
-            run_sweep(pts, jobs=2)
-        # sequential mode runs them fine (no pickling involved)
-        assert run_sweep(pts, jobs=1) == [1, 2]
+        def mk(v):
+            def inner():
+                return v
+            return inner
+
+        for pts in ([SweepPoint(lambda: 1), SweepPoint(lambda: 2)],
+                    [SweepPoint(mk(1)), SweepPoint(mk(2))]):
+            with pytest.raises(ValueError, match="lambda or closure"):
+                run_sweep(pts, jobs=2)
+            # sequential mode runs them fine (no pickling involved)
+            assert run_sweep(pts, jobs=1) == [1, 2]
 
     def test_worker_exception_propagates(self):
         pts = [SweepPoint(_boom, (1,)), SweepPoint(_boom, (2,))]
