@@ -310,8 +310,9 @@ class ConverseRuntime:
         self.engine = machine.engine
         self.config = machine.config
         # the observer doubles as the per-PE interval tracer (Projections
-        # timeline) unless the caller installed an explicit one
-        if tracer is None and machine.observer is not None:
+        # timeline) and hands every interval on to an explicit tracer
+        if machine.observer is not None:
+            machine.observer.downstream = tracer
             tracer = machine.observer
         self.tracer = tracer
         n = machine.n_pes if n_pes is None else n_pes

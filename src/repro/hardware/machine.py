@@ -29,7 +29,6 @@ from repro.observe import Observer, observe_requested
 from repro.sanitize import Sanitizer, sanitize_requested
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import TraceLog
 
 
 class Machine:
@@ -40,7 +39,6 @@ class Machine:
         n_nodes: int,
         config: Optional[MachineConfig] = None,
         seed: int = 0,
-        trace: Optional[TraceLog] = None,
         torus_dims: Optional[tuple[int, int, int]] = None,
     ):
         if n_nodes < 1:
@@ -48,7 +46,6 @@ class Machine:
         self.config = config or MachineConfig()
         self.engine = Engine()
         self.rng = RngRegistry(seed)
-        self.trace = trace
         if self.config.topology == "dragonfly":
             if torus_dims is not None:
                 raise TopologyError(

@@ -20,9 +20,11 @@ The observer owns three sub-systems: a :class:`MetricsRegistry`
 :class:`MessageTracer` (causal per-message stage records keyed by the
 trace ID minted at send), and a :class:`FlightRecorder` (bounded ring of
 recent fault/recovery/stall records, dumped automatically on reliability
-give-up, sanitizer violation, or engine stall).  It also implements the
-scheduler-tracer protocol (``record``), so installing it gives the
-Projections-style per-PE timeline for free.
+give-up, sanitizer violation, or engine stall).  It is the only sink
+for fault and recovery events.  It also implements the scheduler-tracer
+protocol (``record``), so installing it gives the Projections-style
+per-PE timeline for free; an explicit tracer hangs off it as
+:attr:`Observer.downstream`.
 """
 
 from __future__ import annotations
@@ -103,16 +105,17 @@ class Observer:
     and skips all calls when it is ``None``.
     """
 
-    def __init__(self, machine: "Machine",
-                 flight_capacity: int = 256,
-                 trace_capacity: Optional[int] = None):
+    def __init__(self, machine: "Machine"):
         self.machine = machine
         self._eng = machine.engine
         self.metrics = MetricsRegistry()
-        self.tracer = MessageTracer(capacity=trace_capacity)
-        self.flight = FlightRecorder(capacity=flight_capacity)
+        self.tracer = MessageTracer()
+        self.flight = FlightRecorder()
         #: pe rank -> [(start, duration, kind), ...] busy/idle intervals
         self.timeline: dict[int, list[tuple[float, float, str]]] = {}
+        #: an explicit scheduler tracer (e.g. a Projections
+        #: ``UtilizationTracer``) that receives every interval after us
+        self.downstream: Any = None
         _REGISTRY.append(self)
         self._register_machine_sources()
 
@@ -293,17 +296,19 @@ class Observer:
         self.metrics.observe("net/inject_backlog", now, depart - now)
 
     # -- fault / recovery / failure hooks ----------------------------------
-    def on_fault(self, event: str, where: Any, time: float) -> None:
+    def on_fault(self, event: str, where: Any, time: float,
+                 **detail: Any) -> None:
         self.metrics.inc(f"fault/{event}")
-        self.flight.note(time, "fault", event, where=where)
+        self.flight.note(time, "fault", event, where, **detail)
         if event == "node_crash":
             # dead silicon: dump the recent-event ring for the postmortem
             # before the recovery layer tears this machine down
             self.flight.dump("fault:node_crash", time, where=where)
 
-    def on_recovery(self, event: str, where: Any, time: float) -> None:
+    def on_recovery(self, event: str, where: Any, time: float,
+                    **detail: Any) -> None:
         self.metrics.inc(f"recovery/{event}")
-        self.flight.note(time, "recovery", event, where=where)
+        self.flight.note(time, "recovery", event, where, **detail)
         if event in GIVEUP_EVENTS:
             self.flight.dump(f"recovery:{event}", time, where=where)
 
@@ -322,6 +327,8 @@ class Observer:
     def record(self, pe_rank: int, start: float, duration: float,
                kind: str) -> None:
         self.timeline.setdefault(pe_rank, []).append((start, duration, kind))
+        if self.downstream is not None:
+            self.downstream.record(pe_rank, start, duration, kind)
 
     # -- introspection -----------------------------------------------------
     def snapshot(self) -> dict[str, Any]:

@@ -314,11 +314,6 @@ class Sanitizer:
         if region is not None:
             region.root = why
 
-    def unroot_region(self, handle: Any) -> None:
-        region = self._regions.get(id(handle))
-        if region is not None:
-            region.root = None
-
     @staticmethod
     def _region_name(region: _Region) -> str:
         root = f" ({region.root})" if region.root else ""

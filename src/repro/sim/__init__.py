@@ -11,12 +11,14 @@ kernel is deliberately small:
   (``yield 1.5e-6`` to sleep, ``yield event`` to wait).
 * :class:`~repro.sim.rng.RngRegistry` — named, independently seeded RNG
   streams so adding a consumer never perturbs existing streams.
+
+Event recording (faults, recovery actions, stalls) is not part of the
+kernel: it goes to the opt-in observer, :mod:`repro.observe`.
 """
 
 from repro.sim.engine import Engine, Event, EventHandle
 from repro.sim.process import Process
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import TraceLog, TraceRecord
 
 __all__ = [
     "Engine",
@@ -24,6 +26,4 @@ __all__ = [
     "EventHandle",
     "Process",
     "RngRegistry",
-    "TraceLog",
-    "TraceRecord",
 ]

@@ -27,15 +27,16 @@ from repro.faults.report import fault_report
 from repro.hardware import Machine
 from repro.hardware.config import MachineConfig, tiny as tiny_config
 from repro.lrts.factory import make_runtime
+from repro.lrts.rdma_layer import RdmaLayerConfig
 from repro.lrts.ugni_layer import UgniLayerConfig
 from repro.observe import (
+    FlightRecorder,
     MessageTracer,
     MetricsRegistry,
     chrome_trace,
     format_timeline,
     pe_utilization,
 )
-from repro.sim.trace import TraceLog
 from repro.units import KB
 
 #: small retry budget + fast backoff so give-up happens quickly
@@ -87,38 +88,6 @@ class TestInstallation:
         assert len(observe.active_observers()) == 2
         observe.clear_registry()
         assert observe.active_observers() == []
-
-
-# --------------------------------------------------------------------- #
-# TraceLog ring buffer (satellite: bounded memory for long campaigns)
-# --------------------------------------------------------------------- #
-class TestTraceLogRing:
-    def test_unbounded_by_default(self):
-        log = TraceLog()
-        for i in range(10):
-            log.emit(i * 1e-6, "cat", "ev")
-        assert len(log.records) == 10
-        assert log.dropped == 0
-
-    def test_capacity_bounds_and_counts_drops(self):
-        log = TraceLog(capacity=4)
-        for i in range(10):
-            log.emit(i * 1e-6, "cat", "ev", seq=i)
-        assert len(log.records) == 4
-        assert log.dropped == 6
-        # the survivors are the newest four, oldest first
-        assert [r.detail["seq"] for r in log.records] == [6, 7, 8, 9]
-
-    def test_clear_resets_dropped(self):
-        log = TraceLog(capacity=2)
-        for i in range(5):
-            log.emit(0.0, "cat", "ev")
-        log.clear()
-        assert log.records == [] and log.dropped == 0
-
-    def test_capacity_validated(self):
-        with pytest.raises(Exception):
-            TraceLog(capacity=0)
 
 
 # --------------------------------------------------------------------- #
@@ -199,7 +168,7 @@ class TestCausalTracing:
         observe.clear_registry()
         cfg = tiny_config(cores_per_node=2)
         cfg = cfg.replace(observe=True)
-        m = Machine(n_nodes=4, config=cfg, seed=3, trace=TraceLog())
+        m = Machine(n_nodes=4, config=cfg, seed=3)
         conv, layer = make_runtime(
             machine=m, n_pes=m.n_pes, layer="ugni",
             layer_config=UgniLayerConfig(**FAST),
@@ -296,7 +265,7 @@ class TestFlightRecorder:
         whose ring holds the retransmissions that led up to it."""
         observe.clear_registry()
         m = Machine(n_nodes=4, config=tiny_config(cores_per_node=2).replace(observe=True),
-                    seed=0, trace=TraceLog())
+                    seed=0)
         conv, layer = make_runtime(
             machine=m, n_pes=m.n_pes, layer="ugni",
             layer_config=UgniLayerConfig(**FAST),
@@ -313,7 +282,13 @@ class TestFlightRecorder:
                    if d.reason == "recovery:give_up"]
         assert len(giveups) == 3
         dump = giveups[-1]
-        assert any(r.event == "retransmit" for r in dump.records)
+        retransmits = [r for r in dump.records if r.event == "retransmit"]
+        assert retransmits
+        # the ring keeps each event's detail, not just its name
+        for rec in retransmits:
+            assert rec.category == "recovery"
+            assert isinstance(rec.detail["seq"], int)
+            assert 1 <= rec.detail["attempt"] <= FAST["max_retries"]
         assert "give_up" in dump.render() or "retransmit" in dump.render()
         snap = obs.metrics.snapshot()
         assert snap["counter/recovery/give_up"] == 3
@@ -335,21 +310,29 @@ class TestFlightRecorder:
         m = Machine(n_nodes=2, config=tiny_config().replace(observe=True))
         obs = m.observer
         for i in range(1000):
-            obs.flight.note(i * 1e-6, "fault", "synthetic")
-        assert len(obs.flight.log.records) == 256
-        assert obs.flight.log.dropped == 744
+            obs.flight.note(i * 1e-6, "fault", "synthetic", seq=i)
+        assert len(obs.flight.records) == 256
+        assert obs.flight.dropped == 744
         dump = obs.flight.dump("test", 1.0)
         assert len(dump.records) == 256 and dump.dropped == 744
+        # the survivors are the newest records, oldest first
+        assert [r.detail["seq"] for r in dump.records] == list(range(744, 1000))
+
+    def test_capacity_validated(self):
+        with pytest.raises(ValueError):
+            FlightRecorder(capacity=0)
 
 
 # --------------------------------------------------------------------- #
-# fault report folding (satellite: one summary for trace and registry)
+# fault report folding (the observer is the single event channel)
 # --------------------------------------------------------------------- #
 class TestFaultReportFolding:
     def test_observer_counts_match_trace_counts(self):
+        """The report's counts equal the injector's and the reliability
+        layer's own tallies of the same events."""
         observe.clear_registry()
         m = Machine(n_nodes=4, config=tiny_config(cores_per_node=2).replace(observe=True),
-                    seed=1, trace=TraceLog())
+                    seed=1)
         conv, layer = make_runtime(
             machine=m, n_pes=m.n_pes, layer="ugni",
             layer_config=UgniLayerConfig(**FAST),
@@ -360,12 +343,28 @@ class TestFaultReportFolding:
         for _ in range(10):
             conv.send_from_outside(0, Message(sender, 0, 0, 0))
         m.engine.run(max_events=1_000_000)
-        from_trace = fault_report(m.trace)
-        from_observer = fault_report(observer=m.observer)
-        assert from_trace == from_observer
-        assert from_trace["fault"].get("smsg_drop", 0) > 0
-        # both sources at once merges rather than double-counts
-        assert fault_report(m.trace, observer=m.observer) == from_trace
+        rep = fault_report(observer=m.observer)
+        assert rep["fault"]["smsg_drop"] == m.faults.smsg_dropped > 0
+        assert rep["recovery"]["retransmit"] == layer.rel_retransmits > 0
+
+    def test_rdma_giveups_reach_the_report(self):
+        """The rdma layer's RC give-ups land in the same summary."""
+        observe.clear_registry()
+        m = Machine(n_nodes=4, config=tiny_config(cores_per_node=2).replace(observe=True),
+                    seed=1)
+        conv, layer = make_runtime(
+            machine=m, n_pes=m.n_pes, layer="rdma",
+            layer_config=RdmaLayerConfig(retry_count=1),
+            faults=FaultConfig(smsg_drop_rate=0.3))
+        h = conv.register_handler(lambda pe, msg: None)
+        sender = conv.register_handler(
+            lambda pe, msg: conv.send(pe, 2, Message(h, pe.rank, 2, 64)))
+        for _ in range(20):
+            conv.send_from_outside(0, Message(sender, 0, 0, 0))
+        m.engine.run(max_events=1_000_000)
+        rep = fault_report(observer=m.observer)
+        assert rep["recovery"]["rc_giveup"] == layer.fabric.rc_giveups > 0
+        assert rep["recovery"]["rc_giveup"] == layer.rc_lost
 
 
 # --------------------------------------------------------------------- #
@@ -395,6 +394,23 @@ class TestExport:
                    for kinds in util.values())
         text = format_timeline(obs)
         assert "pe0" in text and "busy" in text
+
+    def test_timeline_kept_alongside_projections_tracer(self):
+        """An explicit Projections tracer hangs off the observer: the
+        observer's timeline still fills, and the profile is unchanged."""
+        import numpy as np
+        from repro.apps.nqueens import run_nqueens
+
+        observe.clear_registry()
+        on = run_nqueens(8, 4, 8, config=MachineConfig(observe=True),
+                         trace_bin=1e-4)
+        obs = observe.active_observers()[0]
+        assert sorted(obs.timeline) == list(range(8))
+        off = run_nqueens(8, 4, 8, config=MachineConfig(), trace_bin=1e-4)
+        assert on.total_time == off.total_time
+        for kind in ("useful", "overhead", "idle"):
+            assert np.array_equal(getattr(on.profile, kind),
+                                  getattr(off.profile, kind))
 
     def test_cli_writes_artifacts(self, tmp_path, capsys):
         from repro.observe.__main__ import main

@@ -23,7 +23,6 @@ from repro.hardware.config import tiny as tiny_config
 from repro.lrts.factory import make_runtime
 from repro.lrts.ugni_layer import UgniLayerConfig
 from repro.lrts.ugni_layer.reliability import _RelRx
-from repro.sim.trace import TraceLog
 from repro.units import KB
 
 #: small retry budget + fast backoff so give-up happens quickly
@@ -32,11 +31,17 @@ FAST = dict(reliability=True, max_retries=3,
 
 
 def make(layer_config, faults=None, seed=0):
-    m = Machine(n_nodes=4, config=tiny_config(cores_per_node=2),
-                seed=seed, trace=TraceLog())
+    m = Machine(n_nodes=4,
+                config=tiny_config(cores_per_node=2).replace(observe=True),
+                seed=seed)
     conv, layer = make_runtime(machine=m, n_pes=m.n_pes, layer="ugni",
                                layer_config=layer_config, faults=faults)
     return m, conv, layer
+
+
+def recoveries(m, event):
+    """How often the observer saw one recovery event."""
+    return m.observer.snapshot().get(f"counter/recovery/{event}", 0)
 
 
 class TestSmsgGiveUp:
@@ -57,7 +62,7 @@ class TestSmsgGiveUp:
         assert s["rel_failed"] == 5
         assert delivered == []
         assert layer._rel_tx == {}  # every record retired at give-up
-        assert m.trace.count("recovery", "give_up") == 5
+        assert recoveries(m, "give_up") == 5
         # mailbox credit reclaimed when each dropped delivery resolved
         assert all(c.credits_used == 0
                    for c in layer.gni.smsg._connections.values())
@@ -85,7 +90,7 @@ class TestPostGiveUp:
         assert delivered == []  # lost and reported, not silently hung
         assert s["pool_live_blocks"] == 0  # both sides reclaimed
         assert s["pool_live_bytes"] == 0
-        assert m.trace.count("recovery", "post_give_up") == 1
+        assert recoveries(m, "post_give_up") == 1
         assert s["rel_failed"] == 0  # control SMSGs were unaffected
         assert m.engine.peek() == float("inf")
 
@@ -112,7 +117,7 @@ class TestPostGiveUp:
         assert s["persistent_rearms"] == s["post_retries"] > 0
         assert delivered == []
         assert s["pool_live_blocks"] == 0
-        assert m.trace.count("recovery", "persist_send_failed") == 1
+        assert recoveries(m, "persist_send_failed") == 1
         assert m.engine.peek() == float("inf")
 
 
