@@ -8,9 +8,9 @@ from uGNI's SMSG/FMA/BTE split:
   only under fault injection.
 * **RC queue pairs** carry all two-sided traffic (inline/eager sends and
   rendezvous control).  Reliable in hardware: sequence numbers, in-order
-  delivery through a reorder buffer, retransmission on loss with a bounded
-  retry budget per work request (IB's ``retry_cnt``), credits bounding the
-  send queue depth.
+  delivery through a :class:`~repro.lrts.seqwindow.SeqWindow` reorder
+  window, retransmission on loss with a bounded retry budget per work
+  request (IB's ``retry_cnt``), credits bounding the send queue depth.
 * **Memory channels** are one-sided RDMA READ/WRITE against registered
   windows, validated by the same :class:`RegistrationTable` machinery the
   uGNI layer uses — so the lifecycle sanitizer shadows this fabric with no
@@ -27,6 +27,7 @@ from typing import Any, Callable, Optional
 
 from repro.hardware.machine import Machine
 from repro.lrts.rdma_layer.config import RdmaLayerConfig
+from repro.lrts.seqwindow import SeqWindow
 from repro.ugni.memreg import MemHandle, RegistrationTable
 from repro.ugni.rdma import PostDescriptor
 from repro.ugni.types import PostType
@@ -106,14 +107,16 @@ class RcQueuePair:
     handle.  Reliability is per work request: a packet lost to fault
     injection is retransmitted after :attr:`RdmaLayerConfig.retransmit_timeout`
     up to ``retry_count`` times, then that WQE alone is abandoned (counted,
-    credit reclaimed) — the QP is not torn down, which keeps later traffic
-    flowing the way a real RC QP in ``retry_exceeded`` cleanup would after
-    re-arming.
+    credit reclaimed) — the QP is not torn down.  Every give-up (retry
+    budget exhausted, or queued on a QP whose handshake failed) goes through
+    :meth:`_giveup`, which retires the WQE's sequence number in the receive
+    window ``rx`` so the packets parked behind it are delivered: later
+    traffic keeps flowing the way a real RC QP in ``retry_exceeded``
+    cleanup would after re-arming.
     """
 
     __slots__ = ("fabric", "src", "dst", "src_node", "dst_node", "state",
-                 "next_seq", "credits", "backlog", "rx_expected", "rx_buffer",
-                 "connect_attempts")
+                 "next_seq", "credits", "backlog", "rx", "connect_attempts")
 
     def __init__(self, fabric: "RdmaFabric", src_rank: int, dst_rank: int,
                  at: float):
@@ -129,10 +132,9 @@ class RcQueuePair:
         self.credits = fabric.lcfg.sq_depth
         #: sends waiting on credits or on the handshake: (seq, tag, nbytes, payload)
         self.backlog: deque = deque()
-        self.rx_expected = 0
-        #: out-of-order arrivals (a retransmitted packet overtaken by its
-        #: successors): seq -> (tag, nbytes, payload)
-        self.rx_buffer: dict[int, tuple] = {}
+        #: in-order delivery; parks out-of-order arrivals (a retransmitted
+        #: packet overtaken by its successors) as (tag, nbytes, payload)
+        self.rx = SeqWindow()
         self.connect_attempts = 0
         self._connect(at)
 
@@ -165,8 +167,7 @@ class RcQueuePair:
             # QP rather than retrying forever; queued work is abandoned
             self.state = "failed"
             while self.backlog:
-                _, tag, nbytes, payload = self.backlog.popleft()
-                self.fabric._giveup(self, tag, nbytes, payload)
+                self._giveup(*self.backlog.popleft())
             return
         self._connect(self.fabric.machine.engine.now)
 
@@ -176,7 +177,7 @@ class RcQueuePair:
         seq = self.next_seq
         self.next_seq += 1
         if self.state == "failed":
-            self.fabric._giveup(self, tag, nbytes, payload)
+            self._giveup(seq, tag, nbytes, payload)
             return
         if self.state != "ready" or self.credits == 0 or self.backlog:
             self.backlog.append((seq, tag, nbytes, payload))
@@ -199,10 +200,9 @@ class RcQueuePair:
         if faults is not None and self.src_node != self.dst_node:
             if faults.smsg_delivery_fails(self.src, self.dst):
                 if attempt >= fab.lcfg.retry_count:
-                    fab.rc_giveups += 1
                     machine.engine.call_at(
                         at + fab.lcfg.retransmit_timeout,
-                        self._abandon, tag, nbytes, payload)
+                        self._abandon, seq, tag, nbytes, payload)
                     return
                 fab.rc_retransmits += 1
                 machine.engine.call_at(
@@ -223,11 +223,20 @@ class RcQueuePair:
         machine.engine.call_at(
             arrival + cfg.rdma_completion_latency, self._tx_complete)
 
-    def _abandon(self, tag: str, nbytes: int, payload: Any) -> None:
+    def _abandon(self, seq: int, tag: str, nbytes: int, payload: Any) -> None:
         """Retry budget exhausted: reclaim the credit, drop the WQE."""
         self.credits += 1
-        self.fabric._giveup(self, tag, nbytes, payload)
+        self._giveup(seq, tag, nbytes, payload)
         self._flush(self.fabric.machine.engine.now)
+
+    def _giveup(self, seq: int, tag: str, nbytes: int, payload: Any) -> None:
+        """Abandon one WQE and retire its seq so the packets behind it flow."""
+        fab = self.fabric
+        fab.rc_giveups += 1
+        fab.on_giveup(self, tag, nbytes, payload)
+        t = fab.machine.engine.now
+        for item in self.rx.retire(seq):
+            fab.on_receive(self, *item, t)
 
     def _tx_complete(self) -> None:
         self.credits += 1
@@ -236,15 +245,9 @@ class RcQueuePair:
     # -- receive side ---------------------------------------------------------
     def _rx(self, seq: int, tag: str, nbytes: int, payload: Any,
             t: float) -> None:
-        if seq != self.rx_expected:
-            self.rx_buffer[seq] = (tag, nbytes, payload)
-            return
-        self.fabric._deliver_rc(self, tag, nbytes, payload, t)
-        self.rx_expected += 1
-        while self.rx_expected in self.rx_buffer:
-            tag, nbytes, payload = self.rx_buffer.pop(self.rx_expected)
-            self.fabric._deliver_rc(self, tag, nbytes, payload, t)
-            self.rx_expected += 1
+        on_receive = self.fabric.on_receive
+        for item in self.rx.accept(seq, (tag, nbytes, payload)):
+            on_receive(self, *item, t)
 
 
 class RdmaFabric:
@@ -299,14 +302,6 @@ class RdmaFabric:
     @property
     def qps(self) -> dict[tuple[int, int], RcQueuePair]:
         return self._qps
-
-    def _deliver_rc(self, qp: RcQueuePair, tag: str, nbytes: int,
-                    payload: Any, t: float) -> None:
-        self.on_receive(qp, tag, nbytes, payload, t)
-
-    def _giveup(self, qp: RcQueuePair, tag: str, nbytes: int,
-                payload: Any) -> None:
-        self.on_giveup(qp, tag, nbytes, payload)
 
     # -- UD datagrams (connection management only) -----------------------------
     def _ud_send(self, src_rank: int, dst_rank: int, at: float,

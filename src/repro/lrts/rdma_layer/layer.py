@@ -118,21 +118,25 @@ class RdmaMachineLayer(PersistentWindowsMixin, IntranodeMixin,
 
     def _sanitize_scan(self, san) -> None:
         """Layer-level lifecycle checks run when the engine drains."""
+        qps = self.fabric.qps
+        for (src, dst), qp in qps.items():
+            # every give-up retires its seq, so even under faults a parked
+            # packet at quiescence is a stall
+            if qp.rx.slots:
+                san.report(
+                    "undelivered-message", f"rdma.qp[{src}->{dst}]",
+                    f"{len(qp.rx.slots)} packet(s) stuck in the reorder "
+                    f"window (expected seq {qp.rx.watermark + 1})")
         if self.machine.faults is not None:
             # injected loss legitimately strands protocol state (give-up
-            # paths); lifecycle complaints would all be false positives
+            # paths); the other lifecycle complaints would be false positives
             return
-        for (src, dst), qp in self.fabric.qps.items():
+        for (src, dst), qp in qps.items():
             if qp.backlog:
                 san.report(
                     "undelivered-message", f"rdma.qp[{src}->{dst}]",
                     f"{len(qp.backlog)} WQE(s) still queued "
                     f"(state={qp.state}, credits={qp.credits})")
-            if qp.rx_buffer:
-                san.report(
-                    "undelivered-message", f"rdma.qp[{src}->{dst}]",
-                    f"{len(qp.rx_buffer)} packet(s) stuck in the reorder "
-                    f"buffer (expected seq {qp.rx_expected})")
         for handle in self._persistent.values():
             impl = handle.impl
             if impl.queued:
@@ -219,7 +223,7 @@ class RdmaMachineLayer(PersistentWindowsMixin, IntranodeMixin,
 
     def _on_rc_giveup(self, qp: RcQueuePair, tag: str, nbytes: int,
                       payload: Any) -> None:
-        """A WQE exhausted its retry budget; whatever it carried is lost."""
+        """A WQE was abandoned; whatever it carried is lost."""
         self.rc_lost += 1
         obs = self._obs
         if obs is not None:

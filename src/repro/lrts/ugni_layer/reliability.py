@@ -8,12 +8,14 @@ module loaded.  Three mechanisms:
   protocol control messages alike, except acks) is wrapped in a
   :class:`_RelPacket` carrying a per-``(src, dst)`` sequence number.  The
   receiver acks each copy with an *unreliable, unwrapped*
-  :data:`REL_ACK_TAG` message and suppresses duplicate sequence numbers,
-  giving exactly-once delivery on top of a lossy fabric.  Unacked packets
-  are retransmitted on a :class:`~repro.converse.timers.TimerService`
-  timer with bounded exponential backoff; after
-  ``UgniLayerConfig.max_retries`` attempts the packet is abandoned and
-  counted in ``rel_failed``.
+  :data:`REL_ACK_TAG` message and suppresses duplicate sequence numbers
+  with a per-pair :class:`~repro.lrts.seqwindow.SeqWindow`, giving
+  exactly-once delivery on top of a lossy fabric.  Unacked packets are
+  retransmitted on a :class:`~repro.converse.timers.TimerService` timer
+  with bounded exponential backoff; after ``UgniLayerConfig.max_retries``
+  attempts the packet is abandoned, counted in ``rel_failed``, and its
+  sequence number retired from the receiver's window, which keeps that
+  window bounded by the reordering depth.
 * **FMA/BTE post retry** — :meth:`_post_guarded` routes rendezvous and
   persistent posts through :meth:`_await_post` with an error callback:
   an ``ERROR`` completion (fault-injected transaction error) re-posts the
@@ -30,6 +32,7 @@ the timer machinery, and the extra dispatch on the receive path.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -37,6 +40,7 @@ from repro.converse.scheduler import Message, PE
 from repro.converse.timers import TimerService
 from repro.errors import UgniTransactionError
 from repro.lrts.messages import CHARM_SMALL_TAG, CONTROL_BYTES
+from repro.lrts.seqwindow import SeqWindow
 
 #: smsg tag for delivery acknowledgements (never wrapped, never retried:
 #: a lost ack is recovered by the sender's retransmit + receiver dedup)
@@ -71,57 +75,6 @@ class _RelTx:
     timer: Any = None
 
 
-class _RelRx:
-    """Receiver-side dedup state for one ``(src, dst)`` pair.
-
-    A cumulative-ack watermark plus a small out-of-order window: every
-    sequence number ``<= watermark`` has been delivered, and ``window``
-    holds only the delivered seqs above it (gaps from loss/reordering).
-    Membership (``seq <= watermark or seq in window``) is exactly
-    equivalent to the old grow-forever seen-set, but memory stays
-    O(reordering depth) instead of O(messages ever received).
-    """
-
-    __slots__ = ("watermark", "window")
-
-    def __init__(self) -> None:
-        self.watermark = -1
-        self.window: set[int] = set()
-
-    def seen(self, seq: int) -> bool:
-        return seq <= self.watermark or seq in self.window
-
-    def mark(self, seq: int) -> None:
-        window = self.window
-        window.add(seq)
-        mark = self.watermark
-        while mark + 1 in window:
-            mark += 1
-            window.discard(mark)
-        self.watermark = mark
-
-    def force_advance(self, cap: int) -> int:
-        """Skip gaps until the window fits ``cap``; returns seqs skipped.
-
-        A gap that keeps the window above ``cap`` can only be a sequence
-        number its sender permanently abandoned (give-up after
-        ``max_retries``) — no further copy will ever arrive, so skipping it
-        is safe.  A straggler copy of a skipped seq (e.g. one stalled in
-        the fabric when the sender gave up) is treated as a duplicate,
-        which keeps the failure the sender already reported consistent.
-        """
-        skipped = 0
-        window = self.window
-        while len(window) > cap:
-            mark = self.watermark + 1
-            skipped += 1
-            while mark + 1 in window:
-                mark += 1
-                window.discard(mark)
-            self.watermark = mark
-        return skipped
-
-
 class ReliabilityMixin:
     """Mixed into :class:`UgniMachineLayer`; all state is layer-owned."""
 
@@ -134,13 +87,9 @@ class ReliabilityMixin:
         self._rel_next_seq: dict[tuple[int, int], int] = {}
         #: unacked packets: (src, dst, seq) -> record
         self._rel_tx: dict[tuple[int, int, int], _RelTx] = {}
-        #: receiver-side duplicate suppression: (src, dst) -> watermark +
-        #: out-of-order window (bounded; see :class:`_RelRx`)
-        self._rel_seen: dict[tuple[int, int], _RelRx] = {}
-        #: largest out-of-order window observed across all pairs
-        self.rel_window_peak = 0
-        #: abandoned-seq gaps skipped by watermark force-advance
-        self.rel_window_skips = 0
+        #: receiver-side duplicate suppression per (src, dst)
+        self._rel_seen: defaultdict[tuple[int, int], SeqWindow] = \
+            defaultdict(SeqWindow)
 
     def _rel_trace(self, event: str, where: Any = None, **detail: Any) -> None:
         obs = self._obs
@@ -184,6 +133,7 @@ class ReliabilityMixin:
         if rec.attempts >= self.lcfg.max_retries:
             del self._rel_tx[key]
             self.rel_failed += 1
+            self._rel_seen[pkt.pair].retire(pkt.seq)
             self._rel_trace("give_up", where=pkt.pair,
                             seq=pkt.seq, attempts=rec.attempts)
             return
@@ -206,21 +156,14 @@ class ReliabilityMixin:
         # ack every copy — the ack for an earlier copy may itself be lost
         self.rel_acks += 1
         self._smsg_push(pe, pkt.src, REL_ACK_TAG, CONTROL_BYTES, pkt.key)
-        rx = self._rel_seen.get(pkt.pair)
-        if rx is None:
-            rx = self._rel_seen[pkt.pair] = _RelRx()
+        rx = self._rel_seen[pkt.pair]
         if rx.seen(pkt.seq):
             self.rel_duplicates += 1
             self._rel_trace("duplicate_dropped", where=pkt.pair, seq=pkt.seq)
             return
-        rx.mark(pkt.seq)
-        if len(rx.window) > self.rel_window_peak:
-            self.rel_window_peak = len(rx.window)
-        if len(rx.window) > self.lcfg.rel_window_cap:
-            skipped = rx.force_advance(self.lcfg.rel_window_cap)
-            self.rel_window_skips += skipped
-            self._rel_trace("window_skip", where=pkt.pair, skipped=skipped,
-                            watermark=rx.watermark)
+        rx.accept(pkt.seq)
+        if len(rx.slots) > self.rel_window_peak:
+            self.rel_window_peak = len(rx.slots)
         if pkt.tag == CHARM_SMALL_TAG:
             self.deliver(pe.rank, pkt.payload, recv_cpu=0.0)
         else:

@@ -39,7 +39,7 @@ def _check_conserved(stats):
     assert stats["pool_live_blocks"] == 0
     assert stats["pool_live_bytes"] == 0
     # receiver dedup memory is bounded by the OOO window, never O(msgs)
-    assert stats["rel_window_peak"] <= CHAOS.rel_window_cap
+    assert stats["rel_window_peak"] <= 256
 
 
 class TestPingPongChaos:

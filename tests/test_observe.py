@@ -366,6 +366,27 @@ class TestFaultReportFolding:
         assert rep["recovery"]["rc_giveup"] == layer.fabric.rc_giveups > 0
         assert rep["recovery"]["rc_giveup"] == layer.rc_lost
 
+    def test_rdma_failed_connect_giveups_counted_once(self):
+        """WQEs abandoned because the UD handshake never completes count
+        in ``rc_giveups`` exactly like retry-exhausted ones."""
+        observe.clear_registry()
+        m = Machine(n_nodes=4, config=tiny_config(cores_per_node=2).replace(observe=True),
+                    seed=1)
+        conv, layer = make_runtime(
+            machine=m, n_pes=m.n_pes, layer="rdma",
+            layer_config=RdmaLayerConfig(retry_count=1),
+            faults=FaultConfig(smsg_drop_rate=1.0))
+        h = conv.register_handler(lambda pe, msg: None)
+        sender = conv.register_handler(
+            lambda pe, msg: conv.send(pe, 2, Message(h, pe.rank, 2, 64)))
+        for _ in range(5):
+            conv.send_from_outside(0, Message(sender, 0, 0, 0))
+        m.engine.run(max_events=1_000_000)
+        rep = fault_report(observer=m.observer)
+        assert layer.fabric.qp_connects == 0  # the handshake never completed
+        assert (layer.fabric.rc_giveups == layer.rc_lost
+                == rep["recovery"]["rc_giveup"] > 0)
+
 
 # --------------------------------------------------------------------- #
 # exporters

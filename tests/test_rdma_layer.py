@@ -6,9 +6,12 @@ from repro import sanitize
 from repro.apps.kneighbor import kneighbor
 from repro.apps.nqueens import run_nqueens
 from repro.apps.pingpong import charm_pingpong
+from repro.converse.scheduler import Message
 from repro.errors import LrtsError
 from repro.faults import FaultConfig
-from repro.hardware.config import MachineConfig
+from repro.hardware import Machine
+from repro.hardware.config import MachineConfig, tiny
+from repro.lrts.factory import make_runtime
 from repro.lrts.rdma_layer import RdmaLayerConfig
 from repro.units import KB
 
@@ -155,6 +158,26 @@ class TestChaos:
         clean = _pp(4 * KB, seed=1)
         zero = _pp(4 * KB, seed=1, faults=FaultConfig())
         assert repr(zero.one_way_latency) == repr(clean.one_way_latency)
+
+    def test_giveup_does_not_stall_later_packets(self):
+        """An abandoned WQE retires its sequence number, so the packets
+        that arrived behind it leave the reorder window instead of
+        waiting forever for a copy that will never come."""
+        m = Machine(n_nodes=4, config=tiny(cores_per_node=2), seed=1)
+        conv, layer = make_runtime(
+            machine=m, n_pes=m.n_pes, layer="rdma",
+            layer_config=RdmaLayerConfig(retry_count=1),
+            faults=FaultConfig(smsg_drop_rate=0.3))
+        delivered = []
+        h = conv.register_handler(lambda pe, msg: delivered.append(msg))
+        sender = conv.register_handler(
+            lambda pe, msg: conv.send(pe, 2, Message(h, pe.rank, 2, 64)))
+        for _ in range(20):
+            conv.send_from_outside(0, Message(sender, 0, 0, 0))
+        m.engine.run(max_events=1_000_000)
+        assert layer.rc_lost > 0
+        assert len(delivered) + layer.rc_lost == 20
+        assert all(not qp.rx.slots for qp in layer.fabric.qps.values())
 
 
 class TestIntranode:

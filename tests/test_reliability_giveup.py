@@ -10,7 +10,9 @@ Regression tests for two silent-loss bugs:
   ``persistent_failed`` are bumped, and both sides reclaim their buffers
   (the :data:`RNDV_FAIL_TAG` control message).
 * ``_rel_seen`` grew a per-pair seen-set forever; it is now a cumulative
-  watermark plus a bounded out-of-order window (:class:`_RelRx`).
+  watermark plus the out-of-order sequence numbers above it
+  (:class:`~repro.lrts.seqwindow.SeqWindow`), and a give-up retires its
+  sequence number so an abandoned packet leaves no permanent gap.
 """
 
 import pytest
@@ -22,7 +24,7 @@ from repro.hardware import Machine
 from repro.hardware.config import tiny as tiny_config
 from repro.lrts.factory import make_runtime
 from repro.lrts.ugni_layer import UgniLayerConfig
-from repro.lrts.ugni_layer.reliability import _RelRx
+from repro.lrts.seqwindow import SeqWindow
 from repro.units import KB
 
 #: small retry budget + fast backoff so give-up happens quickly
@@ -62,6 +64,9 @@ class TestSmsgGiveUp:
         assert s["rel_failed"] == 5
         assert delivered == []
         assert layer._rel_tx == {}  # every record retired at give-up
+        # every abandoned seq was retired from the receiver's window
+        assert layer._rel_seen
+        assert all(not rx.slots for rx in layer._rel_seen.values())
         assert recoveries(m, "give_up") == 5
         # mailbox credit reclaimed when each dropped delivery resolved
         assert all(c.credits_used == 0
@@ -123,35 +128,61 @@ class TestPostGiveUp:
 
 class TestDedupWindow:
     def test_watermark_semantics(self):
-        rx = _RelRx()
+        rx = SeqWindow()
         assert not rx.seen(0)
-        rx.mark(0)
-        rx.mark(1)
-        assert rx.watermark == 1 and rx.window == set()
-        rx.mark(5)
-        rx.mark(3)
+        rx.accept(0)
+        rx.accept(1)
+        assert rx.watermark == 1 and rx.slots == {}
+        rx.accept(5)
+        rx.accept(3)
         assert rx.seen(5) and rx.seen(3) and not rx.seen(2)
-        assert rx.window == {3, 5}
-        rx.mark(2)
-        assert rx.watermark == 3 and rx.window == {5}
-        rx.mark(4)
-        assert rx.watermark == 5 and rx.window == set()
+        assert set(rx.slots) == {3, 5}
+        rx.accept(2)
+        assert rx.watermark == 3 and set(rx.slots) == {5}
+        rx.accept(4)
+        assert rx.watermark == 5 and rx.slots == {}
         # everything at or below the watermark counts as seen forever
         assert all(rx.seen(s) for s in range(6))
 
-    def test_force_advance_skips_permanent_gap(self):
-        rx = _RelRx()
-        for seq in range(1, 10):  # seq 0 abandoned by its sender
-            rx.mark(seq)
-        assert len(rx.window) == 9
-        assert rx.force_advance(4) == 1
-        assert rx.watermark == 9 and rx.window == set()
-        # a straggler copy of the skipped seq is treated as a duplicate
-        assert rx.seen(0)
+    def test_accept_releases_parked_items_in_order(self):
+        rx = SeqWindow()
+        assert rx.accept(2, "c") == []
+        assert rx.accept(1, "b") == []
+        assert rx.accept(0, "a") == ["a", "b", "c"]
+        assert rx.accept(3, "d") == ["d"]
 
-    def test_window_cap_validated(self):
-        with pytest.raises(ValueError):
-            UgniLayerConfig(rel_window_cap=0)
+    def test_retired_gap_releases_parked_items(self):
+        rx = SeqWindow()
+        for seq in range(1, 5):  # seq 0 abandoned by its sender
+            rx.accept(seq, seq)
+        assert rx.watermark == -1 and len(rx.slots) == 4
+        assert rx.retire(0) == [1, 2, 3, 4]
+        assert rx.watermark == 4 and rx.slots == {}
+
+    def test_retire_ahead_of_the_watermark(self):
+        rx = SeqWindow()
+        assert rx.retire(1) == []  # seq 0 still in flight
+        assert rx.seen(1) and rx.watermark == -1
+        assert rx.accept(2, "c") == []
+        # the retired seq is skipped, not delivered
+        assert rx.accept(0, "a") == ["a", "c"]
+        assert rx.watermark == 2 and rx.slots == {}
+
+    def test_retire_is_idempotent(self):
+        rx = SeqWindow()
+        rx.accept(1, "b")
+        assert rx.retire(0) == ["b"]
+        assert rx.retire(0) == []
+        assert rx.retire(1) == []  # already arrived: a no-op
+        assert rx.watermark == 1 and rx.slots == {}
+
+    def test_straggler_of_retired_seq_is_seen(self):
+        rx = SeqWindow()
+        rx.retire(0)
+        rx.retire(3)
+        # a copy stalled in the fabric when its sender gave up is a duplicate
+        assert rx.seen(0) and rx.seen(3)
+        assert not rx.seen(1)
 
     def test_window_stays_bounded_under_sustained_loss(self):
         """The receiver's dedup memory must stay O(window), not O(total
@@ -162,6 +193,6 @@ class TestDedupWindow:
         r = charm_pingpong(64, layer_config=lc,
                            faults=FaultConfig(smsg_drop_rate=0.15), seed=3)
         assert r.stats["rel_duplicates"] > 0  # dedup actually exercised
-        assert r.stats["rel_window_peak"] <= lc.rel_window_cap
+        assert r.stats["rel_window_peak"] <= 256
         # with in-order pingpong traffic the window should be tiny
         assert r.stats["rel_window_peak"] <= 4
