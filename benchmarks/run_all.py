@@ -103,7 +103,7 @@ def bench_engine_events(n: int = 200_000) -> dict[str, float]:
 
     def tick() -> None:
         count[0] += 1
-        eng.call_after(1e-6, _noop).cancel()  # timer churn (pool + compaction)
+        eng.call_after(1e-6, _noop).cancel()  # timer churn (pool + fast cancel)
         if count[0] < n:
             eng.call_after(1e-9, tick)
 
@@ -132,10 +132,13 @@ def bench_engine_events_mixed(waves: int = 300, width: int = 256) -> dict[str, f
     ``call_after_batch``, then arms ``width`` individually cancellable
     timers and cancels two thirds of them — one third immediately (the
     staged-tail / freshly-armed fast path) and one third from a later
-    event after they have been promoted into the heap (lazy cancellation,
-    which drives compaction).  This keeps the slab paths the plain
-    ``engine_events`` loop never touches — ``post_many``, handle cancel,
-    compaction — on the perf gate.
+    event after they have been promoted into the heap (lazy
+    cancellation: the dead entries are reaped as they reach the heap
+    head).  This keeps the slab paths the plain ``engine_events`` loop
+    never touches — ``post_many`` and both cancel paths — on the perf
+    gate.  The lazy cancels never exceed half of the parked entries, so
+    this workload does not compact;
+    ``tests/test_engine_equivalence.py`` covers compaction.
     """
     eng = Engine()
     state = [0]

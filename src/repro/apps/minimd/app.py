@@ -44,10 +44,6 @@ class MiniMDResult:
             return float("nan")
         return float(np.mean(measured)) * 1e3
 
-    @property
-    def all_ms(self) -> list[float]:
-        return [t * 1e3 for t in self.step_times]
-
 
 def run_minimd(
     system: Union[str, MDSystem],

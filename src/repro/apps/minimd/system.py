@@ -51,12 +51,6 @@ class MDSystem:
     def atoms_per_patch(self) -> float:
         return self.n_atoms / self.n_patches
 
-    def position_msg_bytes(self) -> int:
-        return int(self.atoms_per_patch * BYTES_PER_ATOM)
-
-    def pme_contrib_bytes(self) -> int:
-        return int(self.atoms_per_patch * PME_BYTES_PER_ATOM)
-
     def with_patch_grid(self, grid: tuple[int, int, int]) -> "MDSystem":
         import dataclasses
 

@@ -7,7 +7,7 @@ is a tuple ``(cols, ld, rd, row)``.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -128,19 +128,3 @@ def estimate_subtree_nodes(
             c, l, r, y = c | bit, ((l | bit) << 1) & full, (r | bit) >> 1, y + 1
         total += est
     return total / probes
-
-
-def subtree_work(
-    n: int,
-    state: State,
-    mode: str = "auto",
-    rng: Optional[np.random.Generator] = None,
-    probes: int = 4,
-    exact_limit: int = 14,
-) -> float:
-    """Node count below ``state``: exact when affordable, estimated otherwise."""
-    if mode == "exact" or (mode == "auto" and n <= exact_limit):
-        return float(solve_subtree(n, state)[0])
-    if rng is None:
-        raise ValueError("estimate mode needs an rng")
-    return estimate_subtree_nodes(n, state, rng, probes=probes)

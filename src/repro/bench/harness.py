@@ -25,10 +25,6 @@ class Series:
     def at(self, xv) -> float:
         return self.y[self.x.index(xv)]
 
-    def interpolate_label(self) -> str:  # pragma: no cover
-        return self.label
-
-
 @dataclass
 class Claim:
     """One qualitative claim from the paper, checked against our data."""

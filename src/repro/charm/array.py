@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Optional
 
 from repro.charm.reduction import ReductionState
 from repro.converse.collectives import SpanningTree
@@ -75,9 +75,6 @@ class Collection:
     def n_elements(self) -> int:
         return len(self.location)
 
-    def indices(self) -> Iterable[Any]:
-        return self.location.keys()
-
     # -- reduction topology ----------------------------------------------------
     def _refresh_tree(self) -> None:
         if self._tree_epoch == self.epoch:
@@ -100,13 +97,6 @@ class Collection:
         pos = self._hosting_pos[pe_rank]
         return sum(1 for _ in self._tree.children(pos))
 
-    def red_root(self) -> int:
-        self._refresh_tree()
-        return self._hosting[0]
-
-    def hosts(self, pe_rank: int) -> bool:
-        return bool(self.local[pe_rank])
-
     def missing_elements(self) -> list:
         """Indices the location manager knows but no PE currently hosts.
 
@@ -122,12 +112,5 @@ class Collection:
         return sorted((i for i in self.location if i not in hosted), key=str)
 
     # -- load statistics (for the measurement-based LB) --------------------------
-    def element_loads(self) -> dict[Any, float]:
-        out = {}
-        for pe_elems in self.local.values():
-            for idx, elem in pe_elems.items():
-                out[idx] = getattr(elem, "_lb_load", 0.0)
-        return out
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Collection {self.name} n={self.n_elements()}>"

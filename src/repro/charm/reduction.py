@@ -7,10 +7,6 @@ from typing import Any, Callable
 from repro.errors import CharmError
 
 
-def _concat(a: list, b: list) -> list:
-    return a + b
-
-
 REDUCERS: dict[str, Callable[[Any, Any], Any]] = {
     "sum": lambda a, b: a + b,
     "max": lambda a, b: a if a >= b else b,

@@ -14,8 +14,8 @@ the paper's analysis depends on —
   costs the paper's memory-pool optimization exists to remove.
 
 All calibration constants live in
-:class:`~repro.hardware.config.MachineConfig`; the ``hopper()`` preset is
-fitted to the latencies the paper itself reports.
+:class:`~repro.hardware.config.MachineConfig`; its defaults are fitted to
+the latencies the paper itself reports for Hopper.
 """
 
 from repro.hardware.config import MachineConfig

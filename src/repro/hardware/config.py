@@ -1,8 +1,8 @@
 """Machine calibration constants.
 
-Every timing constant used anywhere in the stack lives here, with the
-``hopper()`` preset fitted against the numbers the paper reports for NERSC
-Hopper (Cray XE6, Gemini):
+Every timing constant used anywhere in the stack lives here; the
+:class:`MachineConfig` defaults are fitted against the numbers the paper
+reports for NERSC Hopper (Cray XE6, Gemini):
 
 * pure-uGNI 8-byte one-way SMSG latency ≈ 1.2 us (paper §V.A);
 * uGNI-based Charm++ adds ≈ 0.4 us of runtime overhead (1.6 us total);
@@ -50,8 +50,6 @@ class MachineConfig:
     dragonfly_terminals_per_router: int = 2
     #: global (optical) ports per router
     dragonfly_global_links: int = 2
-    #: ``"minimal"`` (l-g-l) or ``"valiant"`` (random-intermediate misroute)
-    dragonfly_routing: str = "minimal"
     #: per-hop latency of inter-group optical links (longer than the
     #: electrical intra-group hops)
     dragonfly_global_latency: float = 0.35 * us
@@ -361,11 +359,6 @@ class MachineConfig:
     def replace(self, **kw) -> "MachineConfig":
         """Convenience wrapper over :func:`dataclasses.replace`."""
         return dataclasses.replace(self, **kw)
-
-
-def hopper() -> MachineConfig:
-    """The NERSC Hopper preset used by all paper-reproduction benchmarks."""
-    return MachineConfig()
 
 
 def tiny(cores_per_node: int = 4) -> MachineConfig:

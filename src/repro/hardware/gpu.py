@@ -214,13 +214,6 @@ class Gpu:
         self.memory.free(buf.block)
 
     # -- copy engines ------------------------------------------------------
-    def copy_engine(self, direction: str) -> CopyEngine:
-        if direction == "h2d":
-            return self.h2d
-        if direction == "d2h":
-            return self.d2h
-        raise HardwareError(f"unknown copy direction {direction!r}")
-
     # -- kernels -----------------------------------------------------------
     def launch_kernel(self, now: float, duration: float,
                       on_done: Optional[Callable[[], None]] = None) -> float:

@@ -64,10 +64,6 @@ class Link:
 
     # -- fault state -----------------------------------------------------------
     @property
-    def up(self) -> bool:
-        return self.state == "up"
-
-    @property
     def effective_bandwidth(self) -> float:
         if self.state == "down":
             return self.bandwidth * DOWN_BANDWIDTH_FACTOR

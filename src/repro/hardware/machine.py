@@ -3,9 +3,8 @@
 A :class:`Machine` is the root object every experiment builds first::
 
     from repro.hardware import Machine
-    from repro.hardware.config import hopper
 
-    m = Machine(n_nodes=16, config=hopper())
+    m = Machine(n_nodes=16)  # default MachineConfig: the Hopper calibration
     pe = 37
     node = m.node_of_pe(pe)
 
@@ -117,19 +116,14 @@ class Machine:
 
     def _build_dragonfly(self, n_nodes: int) -> Dragonfly:
         cfg = self.config
-        # the RNG stream exists either way; valiant is its only consumer,
-        # so minimal-mode machines draw nothing from it
-        rng = self.rng.stream("valiant")
         if cfg.dragonfly_groups > 0:
             return Dragonfly(
                 cfg.dragonfly_groups, cfg.dragonfly_routers_per_group,
                 cfg.dragonfly_terminals_per_router,
-                cfg.dragonfly_global_links,
-                routing=cfg.dragonfly_routing, rng=rng)
+                cfg.dragonfly_global_links)
         return Dragonfly.for_nodes(
             n_nodes, cfg.dragonfly_routers_per_group,
-            cfg.dragonfly_terminals_per_router, cfg.dragonfly_global_links,
-            routing=cfg.dragonfly_routing, rng=rng)
+            cfg.dragonfly_terminals_per_router, cfg.dragonfly_global_links)
 
     # -- sizing ------------------------------------------------------------
     @property
@@ -162,23 +156,6 @@ class Machine:
                 f"PE {pe} posted a device buffer but node {node.node_id} "
                 f"has no GPUs (gpus_per_node=0)")
         return node.gpus[self.core_of_pe(pe) % len(node.gpus)]
-
-    def hop_distance_pes(self, pe_a: int, pe_b: int) -> int:
-        na, nb = self.node_of_pe(pe_a), self.node_of_pe(pe_b)
-        return self.topology.hop_distance(na.coord, nb.coord)
-
-    # -- convenience constructors ----------------------------------------------
-    @classmethod
-    def for_pes(
-        cls,
-        n_pes: int,
-        config: Optional[MachineConfig] = None,
-        **kw,
-    ) -> "Machine":
-        """Build a machine with at least ``n_pes`` PEs (whole nodes)."""
-        cfg = config or MachineConfig()
-        n_nodes = -(-n_pes // cfg.cores_per_node)
-        return cls(n_nodes=n_nodes, config=cfg, **kw)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

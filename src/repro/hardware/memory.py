@@ -116,10 +116,6 @@ class NodeMemory:
 
     # -- introspection ---------------------------------------------------------
     @property
-    def free_bytes(self) -> int:
-        return self.capacity - self.used
-
-    @property
     def largest_free_range(self) -> int:
         return max(self._free_sizes, default=0)
 

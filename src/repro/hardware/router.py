@@ -192,8 +192,7 @@ class TorusNetwork:
               min_occ: float) -> tuple[float, int]:
         """Reserve every link from ``src`` to ``dst``; returns (time, hops).
 
-        The hop loop behind :meth:`transfer`, reusable for multi-leg routes
-        (Valiant misrouting walks two legs through this).
+        The hop loop behind :meth:`transfer`.
         """
         hops = 0
         at = src
@@ -232,25 +231,17 @@ class TorusNetwork:
     def total_bytes_carried(self) -> int:
         return sum(lk.bytes_carried for lk in self._links.values())
 
-    def hottest_link(self) -> Link | None:
-        return max(self._links.values(), key=lambda lk: lk.bytes_carried, default=None)
-
-
 class DragonflyNetwork(TorusNetwork):
     """Dragonfly fabric on top of the shared link/fault machinery.
 
     Differences from the torus network:
 
     * inter-group (optical) router links carry their own, longer latency
-      (:attr:`MachineConfig.dragonfly_global_latency`);
-    * in ``valiant`` routing mode each inter-group message walks two
-      minimal legs — source to a randomly drawn intermediate router in a
-      third group, then on to the destination — spreading adversarial
-      traffic across global links at the cost of path length.  The
-      intermediate comes from the topology's seeded RNG stream, so runs
-      stay bit-reproducible.  With any link fault outstanding the network
-      falls back to minimal routing with down-link avoidance, mirroring
-      the torus's degraded mode.
+      (:attr:`MachineConfig.dragonfly_global_latency`).
+
+    Routing is minimal (l-g-l); with any link fault outstanding the
+    network falls back to minimal routing with down-link avoidance, as the
+    torus does in its degraded mode.
     """
 
     def link(self, frm, to) -> Link:
@@ -263,39 +254,3 @@ class DragonflyNetwork(TorusNetwork):
             lk = Link(key, self.config.link_bandwidth, latency)
             self._links[key] = lk
         return lk
-
-    def transfer(
-        self,
-        now: float,
-        src: Coord,
-        dst: Coord,
-        nbytes: int,
-        bandwidth_cap: float | None = None,
-        min_occupancy: float | None = None,
-    ) -> TransferTiming:
-        topo = self.topology
-        mid = None
-        if topo.routing == "valiant" and not self._faulted and src != dst:
-            mid = topo.valiant_intermediate(src, dst)
-        if mid is None:
-            return super().transfer(now, src, dst, nbytes,
-                                    bandwidth_cap=bandwidth_cap,
-                                    min_occupancy=min_occupancy)
-        cfg = self.config
-        min_occ = cfg.nic_msg_gap if min_occupancy is None else min_occupancy
-        self.messages_routed += 1
-        _, t = self.injection_port(src).reserve(now, nbytes, min_occ)
-        depart = t
-        t, hops_a = self._walk(t, src, mid, nbytes, min_occ)
-        t, hops_b = self._walk(t, mid, dst, nbytes, min_occ)
-        _, t = self.ejection_port(dst).reserve(t, nbytes, min_occ)
-        head_arrival = t
-        path_bw = cfg.link_bandwidth
-        if bandwidth_cap is not None and bandwidth_cap < path_bw:
-            path_bw = bandwidth_cap
-        arrival = head_arrival + nbytes / path_bw
-        obs = self.observer
-        if obs is not None:
-            obs.on_net_transfer(src, dst, nbytes, now, depart,
-                                hops_a + hops_b)
-        return TransferTiming(depart, head_arrival, arrival, hops_a + hops_b)

@@ -16,7 +16,7 @@ sets computed here.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, Iterator, Sequence
 
 from repro.errors import TopologyError
 
@@ -212,17 +212,12 @@ class Dragonfly:
     router→terminal, ``("local", r)`` intra-group, ``("global", g)``
     inter-group.
 
-    Minimal routing is the classic l-g-l path (local to the gateway,
-    global, local to the destination router).  Valiant routing — minimal
-    to a random intermediate router in a third group, then minimal to the
-    destination — is implemented by
-    :class:`repro.hardware.router.DragonflyNetwork` on top of
-    :meth:`valiant_intermediate`.
+    Routing is the classic minimal l-g-l path (local to the gateway,
+    global, local to the destination router).
     """
 
     def __init__(self, groups: int, routers_per_group: int,
-                 terminals_per_router: int, global_links: int = 1,
-                 routing: str = "minimal", rng: Any = None):
+                 terminals_per_router: int, global_links: int = 1):
         if min(groups, routers_per_group, terminals_per_router,
                global_links) < 1:
             raise TopologyError(
@@ -233,23 +228,17 @@ class Dragonfly:
                 f"dragonfly with {groups} groups needs a*h >= {groups - 1} "
                 f"global ports per group, have "
                 f"{routers_per_group * global_links}")
-        if routing not in ("minimal", "valiant"):
-            raise TopologyError(f"unknown dragonfly routing {routing!r}")
         self.groups = groups
         self.routers_per_group = routers_per_group
         self.terminals_per_router = terminals_per_router
         self.global_links = global_links
-        self.routing = routing
-        #: RNG for Valiant intermediate selection; only ever drawn from in
-        #: valiant mode, so minimal-mode machines consume no RNG state
-        self._rng = rng
         self._min_dirs: dict[tuple, list] = {}
         self._nbr: dict[tuple, Any] = {}
 
     @classmethod
     def for_nodes(cls, n_nodes: int, routers_per_group: int = 4,
-                  terminals_per_router: int = 2, global_links: int = 2,
-                  **kw: Any) -> "Dragonfly":
+                  terminals_per_router: int = 2,
+                  global_links: int = 2) -> "Dragonfly":
         """Smallest balanced dragonfly with at least ``n_nodes`` terminals.
 
         Groups grow first; when the group count would exceed what ``a*h``
@@ -261,7 +250,7 @@ class Dragonfly:
         while True:
             g = -(-n_nodes // (a * p))
             if a * h >= g - 1:
-                return cls(g, a, p, h, **kw)
+                return cls(g, a, p, h)
             a += 1
 
     # -- structure ---------------------------------------------------------
@@ -273,10 +262,6 @@ class Dragonfly:
     def dims(self) -> tuple[int, int, int]:
         """Shape triple (groups, routers/group, terminals/router)."""
         return (self.groups, self.routers_per_group, self.terminals_per_router)
-
-    @staticmethod
-    def is_router(coord: Any) -> bool:
-        return coord[0] == "rt"
 
     def router_of(self, coord: Any) -> tuple:
         """The router coordinate serving ``coord`` (identity for routers)."""
@@ -417,30 +402,6 @@ class Dragonfly:
             at = nxt
         return hops
 
-    # -- Valiant routing ---------------------------------------------------
-    def valiant_intermediate(self, src: Coord, dst: Coord) -> Optional[tuple]:
-        """Random intermediate router for Valiant routing, or ``None``.
-
-        ``None`` means "route minimally": same-group traffic and machines
-        with fewer than three groups gain nothing from misrouting.  The
-        intermediate is drawn from the topology's seeded RNG stream, so a
-        run's misroute choices are a deterministic function of the machine
-        seed.
-        """
-        gs, gd = src[0], dst[0]
-        if gs == gd or self.groups < 3:
-            return None
-        if self._rng is None:
-            raise TopologyError(
-                "valiant routing needs the topology built with an rng")
-        gi = int(self._rng.integers(0, self.groups - 2))
-        # skip over the source and destination groups, in ascending order
-        for taken in sorted((gs, gd)):
-            if gi >= taken:
-                gi += 1
-        ri = int(self._rng.integers(0, self.routers_per_group))
-        return ("rt", gi, ri)
-
     def all_coords(self) -> Iterator[Coord]:
         for g in range(self.groups):
             for r in range(self.routers_per_group):
@@ -449,5 +410,4 @@ class Dragonfly:
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"Dragonfly(g={self.groups} a={self.routers_per_group} "
-                f"p={self.terminals_per_router} h={self.global_links} "
-                f"routing={self.routing})")
+                f"p={self.terminals_per_router} h={self.global_links})")

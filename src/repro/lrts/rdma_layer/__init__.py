@@ -6,9 +6,8 @@ Send-path dispatch (see :mod:`repro.lrts.rdma_layer.layer`):
 * ``total <= rdma_inline_max`` → inline RC send (payload in the WQE);
 * ``total <= rdma_eager_max`` → eager RC send through registered staging
   pools and pre-posted receive buffers;
-* larger → rendezvous over the one-sided memory channel (RDMA READ pull
-  by default, RTS/CTS/WRITE variant), bounce windows recycled by the
-  pin-down cache;
+* larger → rendezvous over the one-sided memory channel (RTS, then an
+  RDMA READ pull), bounce windows recycled by the pin-down cache;
 * persistent channels → pre-negotiated RMA windows + WRITE/notify
   (:mod:`repro.lrts.rdma_layer.collectives`).
 

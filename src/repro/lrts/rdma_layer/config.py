@@ -1,7 +1,7 @@
 """Feature flags and protocol constants for the RDMA machine layer.
 
 The knobs here are the IB-verbs-shaped decisions (RC retry budget, send
-queue depth, rendezvous direction) — the hardware timing constants live in
+queue depth, staging pool) — the hardware timing constants live in
 :class:`~repro.hardware.config.MachineConfig` like every other fabric's.
 """
 
@@ -20,9 +20,6 @@ class RdmaLayerConfig:
     #: intra-node path: ``"pxshm"`` (double copy), ``"pxshm_single"``
     #: (sender-side copy only), or ``"fabric"`` (loop through the NIC)
     intranode: str = "pxshm"
-    #: rendezvous direction: ``"get"`` (receiver pulls, MPICH2-over-IB
-    #: style) or ``"put"`` (RTS/CTS/WRITE, the Slingshot-friendly variant)
-    rendezvous: str = "get"
     #: max outstanding (un-acked) work requests per RC queue pair
     sq_depth: int = 64
     #: hardware retransmission budget per work request (IB RC default: 7)
@@ -42,9 +39,6 @@ class RdmaLayerConfig:
             raise LrtsError(
                 f"intranode must be 'pxshm', 'pxshm_single' or 'fabric', "
                 f"got {self.intranode!r}")
-        if self.rendezvous not in ("get", "put"):
-            raise LrtsError(
-                f"rendezvous must be 'get' or 'put', got {self.rendezvous!r}")
         if self.sq_depth < 1:
             raise LrtsError(f"sq_depth must be >= 1, got {self.sq_depth}")
         if self.retry_count < 0:

@@ -8,8 +8,8 @@ Cray MPI's 8 KB eager threshold):
 * ``total <= rdma_eager_max`` (16 KB) — **eager**: sender copies into its
   registered staging pool, receiver copies out of a pre-posted buffer.
 * larger — **rendezvous**: both sides pin bounce windows through the
-  pin-down cache and the payload moves as one RDMA READ (receiver pulls,
-  the default) or WRITE (RTS/CTS variant), zero-copy on the wire path.
+  pin-down cache and the receiver pulls the payload with one RDMA READ,
+  zero-copy on the wire path.
 
 All two-sided traffic flows over RC queue pairs with hardware
 retransmission, so unlike the uGNI layer there is no optional software
@@ -95,13 +95,9 @@ class RdmaMachineLayer(PersistentWindowsMixin, IntranodeMixin,
         self._proto_hid = self.conv.register_handler(self._proto_handler)
         self._steps = {
             "rts": self._on_rts,
-            "cts": self._on_cts,
             "get_done": self._on_get_done,
             "get_failed": self._on_get_failed,
             "fin": self._on_fin,
-            "put_done_local": self._on_put_done_local,
-            "put_done": self._on_put_done,
-            "put_failed": self._on_put_failed,
             "rndv_fail": self._on_rndv_fail,
             "p_setup": self._on_p_setup,
             "p_ready": self._on_p_ready,
@@ -242,7 +238,7 @@ class RdmaMachineLayer(PersistentWindowsMixin, IntranodeMixin,
         fn(pe, state)
 
     # ------------------------------------------------------------------ #
-    # Rendezvous (READ-based pull by default, RTS/CTS/WRITE variant)
+    # Rendezvous (RTS, then a READ-based pull)
     # ------------------------------------------------------------------ #
     def _send_rendezvous(self, src_pe: PE, dst_rank: int, msg: Message,
                          total: int) -> None:
@@ -257,13 +253,10 @@ class RdmaMachineLayer(PersistentWindowsMixin, IntranodeMixin,
         pe.charge(cache.release(block, handle), "overhead")
 
     def _on_rts(self, pe: PE, state: _Rndv) -> None:
-        """Receiver: pin a window, then pull (GET) or invite (CTS)."""
+        """Receiver: pin a window, then pull the payload (GET)."""
         cache = self.fabric.pin_caches[pe.node.node_id]
         state.dst_block, state.dst_handle, cpu = cache.acquire(state.total)
         pe.charge(cpu, "overhead")
-        if self.lcfg.rendezvous == "put":
-            self._rc_control(pe, state.src_rank, "cts", state)
-            return
         desc = PostDescriptor(
             post_type=PostType.GET,
             local_mem=state.dst_handle,
@@ -313,55 +306,6 @@ class RdmaMachineLayer(PersistentWindowsMixin, IntranodeMixin,
         self._pin_release(pe, state.dst_block, state.dst_handle)
         state.dst_block = state.dst_handle = None
         self._rc_control(pe, state.src_rank, "rndv_fail", state)
-
-    # -- WRITE-variant steps ---------------------------------------------------
-    def _on_cts(self, pe: PE, state: _Rndv) -> None:
-        """Sender: receiver's window is pinned; push the payload."""
-        desc = PostDescriptor(
-            post_type=PostType.PUT,
-            local_mem=state.src_handle,
-            remote_mem=state.dst_handle,
-            length=state.total,
-            local_addr=state.src_block.addr,
-            remote_addr=state.dst_block.addr,
-        )
-
-        def on_done(t: float) -> None:
-            pe.enqueue(
-                Message(handler=self._proto_hid, src_pe=pe.rank,
-                        dst_pe=pe.rank, nbytes=0,
-                        payload=("put_done_local", state)),
-                recv_cpu=self.cfg.cq_event_cpu)
-
-        def on_error(t: float) -> None:
-            pe.enqueue(
-                Message(handler=self._proto_hid, src_pe=pe.rank,
-                        dst_pe=pe.rank, nbytes=0,
-                        payload=("put_failed", state)),
-                recv_cpu=self.cfg.cq_event_cpu)
-
-        cpu = self.fabric.post_rdma(pe.node.node_id, "put", desc,
-                                    on_done, on_error, at=pe.vtime)
-        pe.charge(cpu, "overhead")
-
-    def _on_put_done_local(self, pe: PE, state: _Rndv) -> None:
-        self._pin_release(pe, state.src_block, state.src_handle)
-        state.src_block = state.src_handle = None
-        self._rc_control(pe, state.dst_rank, "put_done", state)
-
-    def _on_put_done(self, pe: PE, state: _Rndv) -> None:
-        self._pin_release(pe, state.dst_block, state.dst_handle)
-        state.dst_block = state.dst_handle = None
-        self.deliver(pe.rank, state.msg, recv_cpu=self.cfg.rdma_recv_cpu)
-
-    def _on_put_failed(self, pe: PE, state: _Rndv) -> None:
-        self.rndv_failed += 1
-        obs = self._obs
-        if obs is not None:
-            obs.on_recovery("put_failed", f"pe{pe.rank}", self.machine.engine.now)
-        self._pin_release(pe, state.src_block, state.src_handle)
-        state.src_block = state.src_handle = None
-        self._rc_control(pe, state.dst_rank, "rndv_fail", state)
 
     def _on_rndv_fail(self, pe: PE, state: _Rndv) -> None:
         """Peer aborted the rendezvous: release whatever we still pin."""

@@ -1,9 +1,17 @@
-"""uDREG-style registration cache (used by the MPI layer).
+"""uDREG-style registration cache over real uGNI registrations.
 
 Cray MPI avoids re-registering rendezvous buffers with uDREG [Pritchard et
 al. 2011], which the paper cites as the reason plain MPI large-message
 latency is competitive — and whose "overhead and pitfalls" [Wyckoff & Wu]
-motivate the Charm++ pool instead.  Behaviourally:
+motivate the Charm++ pool instead.
+
+No machine layer builds this class: the MPI layer models uDREG with
+:class:`repro.mpish.udreg.UdregCache`, the rdma layer pins through its
+own ``PinDownCache``, and the uGNI layer needs no cache because its
+memory pool is registered once.  Only tests and the traced perfbench
+probe (``perfbench/job.py``) construct it; deleting it waits for a change
+to perfbench, whose ``memory.regcache`` layer rule and metrics name this
+module.  Behaviourally:
 
 * **hit** (same buffer range re-used, e.g. a ping-pong on one buffer) —
   pay only the lookup;

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Any, Generator, Hashable, Optional
 
-from repro.mpish.matching import ANY, Arrival
+from repro.mpish.matching import ANY
 from repro.mpish.world import MpiWorld
 
 
@@ -40,24 +40,3 @@ def recv(world: MpiWorld, rank: int, src: int = ANY, tag: int = ANY,
     if not req.completed:
         yield req.done
     return req.matched
-
-
-def wait(world: MpiWorld, req) -> Generator:
-    """Blocking MPI_Wait on a request from isend/irecv."""
-    if not req.completed:
-        yield req.done
-    return req
-
-
-def iprobe_loop(world: MpiWorld, rank: int, src: int = ANY,
-                tag: int = ANY) -> Generator:
-    """Spin on MPI_Iprobe until a message is available (returns it unpopped).
-
-    Models the Charm-on-MPI progress engine's polling loop, paying the
-    probe cost on every spin.
-    """
-    while True:
-        arr, cpu = world.iprobe(rank, src=src, tag=tag)
-        yield cpu
-        if arr is not None:
-            return arr

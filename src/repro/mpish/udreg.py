@@ -1,8 +1,10 @@
 """Lightweight uDREG model for the MPI layer.
 
-Unlike :class:`repro.memory.regcache.RegistrationCache` (which operates on
-real memory blocks and is used where the simulation validates RDMA), the
-MPI layer's cache tracks *buffer identities* supplied by callers: the
+This is the registration cache the simulation actually runs: it gives
+MPI rendezvous its same-buffer-fast / fresh-buffer-slow behaviour.
+Unlike :class:`repro.memory.regcache.RegistrationCache` (which operates
+on real memory blocks, and which no machine layer builds), it tracks
+*buffer identities* supplied by callers: the
 pure-MPI benchmarks pass a stable key to model "same send/recv buffer" and
 a fresh key per call to model "different buffers" (the two MPI curves of
 Fig. 9a); the MPI-based Charm++ layer always passes fresh keys because the

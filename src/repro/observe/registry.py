@@ -127,13 +127,6 @@ class MetricsRegistry:
             h.update(f"{key}={json.dumps(value, sort_keys=True)}\n".encode())
         return h.hexdigest()
 
-    # -- maintenance -------------------------------------------------------
-    def clear(self) -> None:
-        self._counters.clear()
-        self._gauges.clear()
-        self._hists.clear()
-        self._hist_width.clear()
-        self._sources.clear()
 
     def __len__(self) -> int:
         return len(self._counters) + len(self._gauges) + len(self._hists)

@@ -78,6 +78,3 @@ class UtilizationTracer:
     @property
     def n_bins(self) -> int:
         return self._hwm
-
-    def horizon(self) -> float:
-        return self._hwm * self.bin_width

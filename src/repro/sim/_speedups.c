@@ -723,37 +723,6 @@ core_set_now(Core *c, PyObject *arg)
     Py_RETURN_NONE;
 }
 
-/* drain(): pop every entry, returning a list of handles for live events
- * (cancelled entries are reaped silently).  Debug aid, parity with the
- * Python engine's drain(). */
-static PyObject *
-core_drain(Core *c, PyObject *Py_UNUSED(ignored))
-{
-    PyObject *out = PyList_New(0);
-    if (!out)
-        return NULL;
-    while (reap_root(c) > 0) {
-        Py_ssize_t slot = c->heap[0].slot;
-        heap_pop(c);
-        PyObject *h = make_handle(c, slot);
-        if (!h || PyList_Append(out, h) < 0) {
-            Py_XDECREF(h);
-            Py_DECREF(out);
-            return NULL;
-        }
-        Py_DECREF(h);
-        /* The handle outlives the queue entry; mark the slot cancelled
-         * so a later cancel() on it is a no-op rather than corruption. */
-        Slot *s = &c->slab[slot];
-        s->state = STATE_CANCELLED;
-        Py_CLEAR(s->fn);
-        Py_CLEAR(s->args);
-        c->cancelled += 1;
-    }
-    core_compact(c);
-    return out;
-}
-
 /* ---- type plumbing ---------------------------------------------------- */
 
 static PyObject *
@@ -880,7 +849,6 @@ static PyMethodDef core_methods[] = {
     {"step", (PyCFunction)core_step, METH_NOARGS, NULL},
     {"peek", (PyCFunction)core_peek, METH_NOARGS, NULL},
     {"stop", (PyCFunction)core_stop, METH_NOARGS, NULL},
-    {"drain", (PyCFunction)core_drain, METH_NOARGS, NULL},
     {"_set_now", (PyCFunction)core_set_now, METH_O, NULL},
     {NULL, NULL, 0, NULL},
 };

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Any, Callable, Iterator, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.errors import SimulationError
 from repro.sim import _speed
@@ -176,10 +176,6 @@ class EventHandle:
                 f"slot={self.slot} {state}>")
 
 
-def _noop(*_args: Any) -> None:
-    return None
-
-
 class Engine:
     """Slab event store + index heap + simulated clock.
 
@@ -253,14 +249,6 @@ class Engine:
         """Number of callbacks actually executed (diagnostics / tests)."""
         core = self._core
         return core.events_executed if core is not None else self._events_executed
-
-    @events_executed.setter
-    def events_executed(self, value: int) -> None:
-        core = self._core
-        if core is not None:
-            core.events_executed = value
-        else:
-            self._events_executed = value
 
     # -- slab primitives ----------------------------------------------------
     def _free_slot(self, slot: int) -> None:
@@ -560,7 +548,7 @@ class Engine:
         """The next live entry, left at the heap head; None when idle.
 
         The **single** promote-and-reap loop shared by :meth:`step`,
-        :meth:`run`, :meth:`peek` and :meth:`drain` — every consumer of
+        :meth:`run` and :meth:`peek` — every consumer of
         "the next event" goes through here, so the lazy-cancel skip
         logic cannot drift between them.  (Historically ``peek`` carried
         its own copy of the skip loop and diverged from ``step``/``run``
@@ -727,29 +715,6 @@ class Engine:
         """
         entry = self._peek_live()
         return entry[0] if entry is not None else _INF
-
-    def drain(self) -> Iterator[EventHandle]:  # pragma: no cover - debug aid
-        """Yield and remove all pending handles (for post-mortem inspection).
-
-        Handle-less (``post_*`` / batch) events get a handle built on the
-        fly so the caller can inspect ``time``/``cancelled`` uniformly.
-        """
-        core = self._core
-        if core is not None:
-            yield from core.drain()
-            return
-        while True:
-            entry = self._peek_live()
-            if entry is None:
-                return
-            heapq.heappop(self._heap)
-            slot = entry[2]
-            h = self._s_handle[slot]
-            if h is None:
-                h = EventHandle(self, slot, self._s_seq[slot])
-            self._s_handle[slot] = None  # keep the yielded view alive
-            self._free_slot(slot)
-            yield h
 
 
 #: the forwarded methods as defined by the class body above — captured at

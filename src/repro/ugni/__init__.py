@@ -15,8 +15,8 @@ This is the API surface the paper's machine layer is written against
   alternative: memory scales with nodes, latency is worse.
 * :class:`~repro.ugni.rdma.RdmaEngine` — ``GNI_PostFma`` / ``GNI_PostRdma``
   one-sided PUT/GET requiring registered memory on both sides.
-* :mod:`repro.ugni.api` — a ``GNI_*``-flavoured functional facade over the
-  object API, used by the "pure uGNI" reference benchmarks.
+* :mod:`repro.ugni.api` — :class:`~repro.ugni.api.GniJob`, the
+  communication domain bundling all of the above for one job.
 
 CPU-time convention: every call that a real PE would burn cycles in returns
 the number of seconds the caller must charge to its PE.  The uGNI layer

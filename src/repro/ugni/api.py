@@ -5,22 +5,24 @@ A :class:`GniJob` is what a real application gets after
 node in the job.  The raw-uGNI reference benchmarks (paper Figs. 1, 4, 6,
 9a) and the uGNI machine layer are both written against this object.
 
-Method names mirror the functions the paper lists in §II.B so the protocol
-code reads like the original machine layer.
+It owns the per-node registration tables and the SMSG, MSGQ and RDMA
+engines (``job.smsg``, ``job.msgq``, ``job.rdma``), which callers use
+directly.  Its own methods mirror the ``GNI_CqCreate`` /
+``GNI_MemRegister`` / ``GNI_MemDeregister`` calls the paper lists in
+§II.B, plus the allocate-and-register pair of its Eq. 1.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Optional
 
 from repro.hardware.machine import Machine
 from repro.hardware.memory import MemoryBlock
-from repro.ugni.cq import CompletionQueue, CqEntry
+from repro.ugni.cq import CompletionQueue
 from repro.ugni.memreg import MemHandle, RegistrationTable
-from repro.ugni.msgq import MsgqFabric, MsgqMessage
-from repro.ugni.rdma import PostDescriptor, RdmaEngine
-from repro.ugni.smsg import SmsgFabric, SmsgMessage
-from repro.ugni.types import PostType
+from repro.ugni.msgq import MsgqFabric
+from repro.ugni.rdma import RdmaEngine
+from repro.ugni.smsg import SmsgFabric
 
 
 class GniJob:
@@ -41,10 +43,6 @@ class GniJob:
     def CqCreate(self, capacity: int = 4096, name: str = "") -> CompletionQueue:
         return CompletionQueue(self.machine.engine, capacity, name)
 
-    @staticmethod
-    def CqGetEvent(cq: CompletionQueue) -> Optional[CqEntry]:
-        return cq.get_event()
-
     # -- memory -----------------------------------------------------------------
     def MemRegister(
         self,
@@ -57,31 +55,6 @@ class GniJob:
 
     def MemDeregister(self, handle: MemHandle) -> float:
         return self.registrations[handle.node_id].deregister(handle)
-
-    # -- short messages ------------------------------------------------------------
-    def SmsgSendWTag(
-        self,
-        src_pe: int,
-        dst_pe: int,
-        tag: int,
-        nbytes: int,
-        payload: Any = None,
-    ) -> float:
-        return self.smsg.send(src_pe, dst_pe, tag, nbytes, payload)
-
-    def SmsgGetNextWTag(self, pe: int) -> tuple[Optional[SmsgMessage], float]:
-        return self.smsg.get_next(pe)
-
-    # -- one-sided ---------------------------------------------------------------
-    def PostFma(self, initiator_node: int, desc: PostDescriptor) -> float:
-        return self.rdma.post(initiator_node, desc, fma=True)
-
-    def PostRdma(self, initiator_node: int, desc: PostDescriptor) -> float:
-        return self.rdma.post(initiator_node, desc, fma=False)
-
-    def PostBest(self, initiator_node: int, desc: PostDescriptor) -> float:
-        """Size-aware FMA/BTE selection, the policy from paper §III.C."""
-        return self.rdma.post_best(initiator_node, desc)
 
     # -- convenience for protocol code ---------------------------------------------
     def malloc_registered(

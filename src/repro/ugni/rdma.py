@@ -84,8 +84,6 @@ class RdmaEngine:
 
         Returns initiator CPU seconds.
         """
-        if desc.post_type is PostType.AMO:
-            return self._post_amo(initiator_node, desc)
         machine = self.machine
         san = machine.sanitizer
         if san is not None:
@@ -176,34 +174,3 @@ class RdmaEngine:
             and desc.length <= cfg.fma_max_bytes
         )
         return self.post(initiator_node, desc, fma=use_fma, at=at)
-
-    def _post_amo(self, initiator_node: int, desc: PostDescriptor) -> float:
-        """Atomic memory operation: modelled as an 8-byte FMA round trip."""
-        san = self.machine.sanitizer
-        if san is not None:
-            san.on_rdma_check(desc, initiator_node)
-        self._validate(
-            PostDescriptor(
-                post_type=PostType.GET,
-                local_mem=desc.local_mem,
-                remote_mem=desc.remote_mem,
-                length=8,
-                local_addr=desc.local_addr,
-                remote_addr=desc.remote_addr,
-            ),
-            initiator_node,
-        )
-        node = self.machine.nodes[initiator_node]
-        peer = self.machine.nodes[desc.remote_mem.node_id]
-
-        def on_local_cq(t: float) -> None:
-            self.posts_completed += 1
-            if desc.src_cq is not None:
-                desc.src_cq.push(CqEntry(
-                    CqEventKind.POST_DONE, t, tag=desc.id, data=desc,
-                    source=initiator_node))
-
-        if peer.node_id == node.node_id:
-            return node.nic.loopback_send(8, on_local_cq)
-        return node.nic.post_transfer(
-            TransferKind.FMA_GET, peer.coord, 8, on_local_cq=on_local_cq)

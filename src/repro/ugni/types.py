@@ -10,8 +10,6 @@ class PostType(enum.Enum):
 
     PUT = "put"
     GET = "get"
-    #: atomic memory operation (fetch-and-add style); FMA only
-    AMO = "amo"
 
 
 class CqEventKind(enum.Enum):

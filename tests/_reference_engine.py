@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
 
@@ -328,12 +328,6 @@ class ReferenceEngine:
             self._cancelled -= 1
             self._retire(handle)
         return heap[0][0] if heap else math.inf
-
-    def drain(self) -> Iterator[ReferenceEventHandle]:  # pragma: no cover - debug aid
-        """Yield and remove all pending handles (for post-mortem inspection)."""
-        while self._heap:
-            yield heapq.heappop(self._heap)[2]
-        self._cancelled = 0
 
 
 class ReferenceEvent:

@@ -73,6 +73,16 @@ class TestCharmPingpong:
         assert a.one_way_latency == b.one_way_latency
 
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "known calibration defect: just above the SMSG cap (1000-1200 B) "
+        "the ugni rendezvous path is slower than MPI eager, so the "
+        "paper-scale fig9a claim 'uGNI-Charm++ beats MPI-based Charm++ "
+        "at every size' fails; default-scale fig9a skips these sizes"))
+    def test_ugni_beats_mpi_at_1kb(self):
+        ugni = charm_pingpong(1 * KB, layer="ugni").one_way_latency
+        mpi = charm_pingpong(1 * KB, layer="mpi").one_way_latency
+        assert ugni < mpi
+
 class TestOneToAll:
     def test_runs_and_orders(self):
         small = one_to_all(88, layer="ugni", n_nodes=4, iters=4, warmup=1)

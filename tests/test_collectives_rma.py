@@ -3,7 +3,7 @@
 import pytest
 
 from repro import sanitize
-from repro.apps.collectives_app import run_allgather, run_alltoallv
+from repro.apps.collectives_app import run_alltoallv
 from repro.converse.collectives import CollectiveEngine
 from repro.errors import CharmError
 from repro.faults import FaultConfig
@@ -26,17 +26,8 @@ class TestDigestInvariance:
         }
         assert len(set(digests.values())) == 1, digests
 
-    def test_allgather_identical_everywhere(self):
-        digests = {
-            (layer, algo): run_allgather(n_pes=6, layer=layer, algorithm=algo,
-                                         config=cfg).digest
-            for layer, cfg in FABRICS
-            for algo in ("tree", "persistent")
-        }
-        assert len(set(digests.values())) == 1, digests
-
     def test_single_rank_degenerate(self):
-        r = run_allgather(n_pes=1, layer="ugni", algorithm="persistent")
+        r = run_alltoallv(n_pes=1, layer="ugni", algorithm="persistent")
         assert r.completed == 1
 
 
@@ -67,7 +58,8 @@ class TestPersistentTransport:
         rounds: list[int] = []
 
         def go(pe, cid):
-            coll.allgather(pe, cid, 1024, f"r{pe.rank}",
+            parts = {dst: (1024, f"{pe.rank}->{dst}") for dst in range(4)}
+            coll.alltoallv(pe, cid, parts,
                            lambda p, items: rounds.append(p.rank))
 
         hid = conv.register_handler(lambda pe, m: go(pe, m.payload))

@@ -35,10 +35,6 @@ class TestShape:
         with pytest.raises(TopologyError):
             Dragonfly(4, 1, 1, 1)  # a*h = 1 < g-1 = 3
 
-    def test_rejects_unknown_routing(self):
-        with pytest.raises(TopologyError):
-            Dragonfly(3, 4, 2, routing="adaptive")
-
     def test_for_nodes_covers_and_closes_plan(self):
         for n in [1, 2, 3, 7, 16, 48, 100, 513]:
             d = Dragonfly.for_nodes(n)
@@ -130,57 +126,6 @@ class TestRouting:
         for a_ in range(d.volume):
             for b_ in range(d.volume):
                 assert d.hop_distance(d.coord_of(a_), d.coord_of(b_)) <= 5
-
-
-class TestValiant:
-    def _machine(self, seed=0):
-        cfg = MachineConfig(topology="dragonfly", dragonfly_groups=5,
-                            dragonfly_routers_per_group=4,
-                            dragonfly_terminals_per_router=2,
-                            dragonfly_global_links=1,
-                            dragonfly_routing="valiant")
-        return Machine(n_nodes=40, config=cfg, seed=seed)
-
-    def test_intermediate_avoids_endpoint_groups(self):
-        m = self._machine()
-        topo = m.topology
-        for _ in range(200):
-            mid = topo.valiant_intermediate((0, 0, 0), (3, 1, 1))
-            assert mid is not None and mid[0] == "rt"
-            assert mid[1] not in (0, 3)
-
-    def test_same_group_routes_minimally(self):
-        topo = self._machine().topology
-        assert topo.valiant_intermediate((2, 0, 0), (2, 3, 1)) is None
-
-    def test_needs_rng(self):
-        d = Dragonfly(4, 4, 2, routing="valiant")
-        with pytest.raises(TopologyError):
-            d.valiant_intermediate((0, 0, 0), (2, 0, 0))
-
-    def test_deterministic_under_seed(self):
-        """Same machine seed -> same misroute choices; different -> differ."""
-        def draws(seed):
-            topo = self._machine(seed=seed).topology
-            return [topo.valiant_intermediate((0, 0, 0), (4, 2, 1))
-                    for _ in range(50)]
-
-        assert draws(7) == draws(7)
-        assert draws(7) != draws(8)
-
-    def test_transfer_uses_two_legs(self):
-        """A valiant transfer is never shorter than the minimal route."""
-        m = self._machine()
-        src, dst = m.topology.coord_of(0), m.topology.coord_of(30)
-        timing = m.network.transfer(0.0, src, dst, 1024)
-        assert timing.hops >= m.topology.hop_distance(src, dst)
-
-    def test_fault_falls_back_to_minimal(self):
-        m = self._machine()
-        src, dst = m.topology.coord_of(0), m.topology.coord_of(30)
-        m.network._faulted = True
-        timing = m.network.transfer(0.0, src, dst, 1024)
-        assert timing.hops == m.topology.hop_distance(src, dst)
 
 
 class TestNetworkLatency:

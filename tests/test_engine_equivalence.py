@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.sim import _speed
-from repro.sim.engine import Engine
+from repro.sim.engine import _COMPACT_MIN, _COMPACT_RATIO, Engine
 from tests._reference_engine import ReferenceEngine
 
 SETTINGS = dict(max_examples=60, deadline=None,
@@ -160,6 +160,32 @@ def test_tie_storm_matches_reference(factory):
     for op in ops:
         ref.apply(op)
         cur.apply(op)
+    assert cur.finish() == ref.finish()
+
+
+@pytest.mark.parametrize("factory", BACKENDS)
+def test_mass_cancel_compacts_and_matches_reference(factory):
+    """Lazily cancelling more than ``_COMPACT_RATIO`` of the parked
+    entries, and at least ``_COMPACT_MIN`` of them, compacts the queues
+    at once; the survivors still fire exactly as in the oracle."""
+    n_arm = 3 * _COMPACT_MIN
+    n_cancel = 2 * _COMPACT_MIN + 1
+    assert n_cancel > _COMPACT_RATIO * n_arm
+    ref = _Driver(ReferenceEngine())
+    cur = _Driver(factory())
+    ops = [("after", _DELAYS[i % len(_DELAYS)]) for i in range(n_arm)]
+    # index 0 cancels the oldest live event: never the newest staged
+    # entry, so every cancel takes the lazy path, not the unstage one
+    ops += [("cancel", 0)] * n_cancel
+    for op in ops:
+        ref.apply(op)
+        cur.apply(op)
+    eng = cur.eng
+    # without compaction all n_arm entries would still be parked and all
+    # n_cancel of them counted as cancelled
+    assert eng.pending < n_arm
+    assert eng.pending_cancelled < n_cancel
+    assert eng.pending - eng.pending_cancelled == n_arm - n_cancel
     assert cur.finish() == ref.finish()
 
 

@@ -298,22 +298,6 @@ class TestTimers:
         conv.run()
         assert fired == []
 
-    def test_periodic_fires_until_cancelled(self):
-        charm, conv = fresh_charm()
-        timers = TimerService(conv)
-        fired = []
-
-        def tick(pe):
-            fired.append(pe.vtime)
-            if len(fired) == 4:
-                handle.cancel()
-
-        handle = timers.call_periodic(10 * us, 0, tick)
-        conv.run(max_events=10000)
-        assert len(fired) == 4
-        gaps = [b - a for a, b in zip(fired, fired[1:])]
-        assert all(g >= 10 * us * 0.99 for g in gaps)
-
     def test_timer_callback_can_send_messages(self):
         charm, conv = fresh_charm()
         timers = TimerService(conv)
@@ -337,5 +321,3 @@ class TestTimers:
         timers = TimerService(conv)
         with pytest.raises(CharmError):
             timers.call_after(-1.0, 0, lambda pe: None)
-        with pytest.raises(CharmError):
-            timers.call_periodic(0.0, 0, lambda pe: None)

@@ -219,11 +219,6 @@ class TestMachine:
         with pytest.raises(TopologyError):
             m.node_of_pe(8)
 
-    def test_for_pes_rounds_up_to_whole_nodes(self):
-        m = Machine.for_pes(10, config=tiny_config(cores_per_node=4))
-        assert m.n_nodes == 3
-        assert m.n_pes == 12
-
     def test_node_pe_ranges_partition(self):
         m = Machine(n_nodes=4, config=tiny_config(cores_per_node=4))
         seen = []

@@ -39,11 +39,6 @@ class TestCrossoverPaths:
         assert r.stats["rendezvous_sent"] > 0
         assert r.stats["rdma_gets"] > 0 and r.stats["rdma_puts"] == 0
 
-    def test_rendezvous_put_variant(self):
-        r = _pp(64 * KB, layer_config=RdmaLayerConfig(rendezvous="put"))
-        assert r.stats["rendezvous_sent"] > 0
-        assert r.stats["rdma_puts"] > 0 and r.stats["rdma_gets"] == 0
-
     def test_crossover_constants_honoured(self):
         """The layer's own constants, not uGNI's SMSG/FMA/BTE split."""
         cfg = MachineConfig()
@@ -63,8 +58,6 @@ class TestCrossoverPaths:
         assert small < eager < rndv
 
     def test_config_validation(self):
-        with pytest.raises(LrtsError):
-            RdmaLayerConfig(rendezvous="magic")
         with pytest.raises(LrtsError):
             RdmaLayerConfig(intranode="tcp")
         with pytest.raises(LrtsError):
@@ -179,6 +172,33 @@ class TestChaos:
         assert len(delivered) + layer.rc_lost == 20
         assert all(not qp.rx.slots for qp in layer.fabric.qps.values())
 
+
+    def test_rendezvous_giveup_releases_both_windows(self):
+        """A rendezvous GET that fails with no retries left is abandoned:
+        the receiver reports it, tells the sender, and both sides unpin
+        their bounce windows."""
+        sanitize.clear_registry()
+        try:
+            m = Machine(n_nodes=2, seed=1,
+                        config=tiny(cores_per_node=2).replace(sanitize=True))
+            conv, layer = make_runtime(
+                machine=m, n_pes=m.n_pes, layer="rdma",
+                layer_config=RdmaLayerConfig(retry_count=0),
+                faults=FaultConfig(rdma_error_rate=1.0))
+            delivered = []
+            h = conv.register_handler(lambda pe, msg: delivered.append(msg))
+            sender = conv.register_handler(
+                lambda pe, msg: conv.send(pe, 2, Message(h, pe.rank, 2,
+                                                         64 * KB)))
+            conv.send_from_outside(0, Message(sender, 0, 0, 0))
+            m.engine.run(max_events=1_000_000)
+            assert layer.rendezvous_sent == 1
+            assert layer.rndv_failed == 1
+            assert delivered == []
+            assert all(c.live == 0 for c in layer.fabric.pin_caches.values())
+            sanitize.assert_clean("rdma rendezvous give-up")
+        finally:
+            sanitize.clear_registry()
 
 class TestIntranode:
     def test_same_node_uses_pxshm(self):

@@ -79,7 +79,7 @@ class TestSeededViolations:
         dst = m.nodes[1].memory.malloc(64 * KB)
         h_src, _ = job.MemRegister(src)
         h_dst, _ = job.MemRegister(dst)
-        job.PostRdma(0, PostDescriptor(
+        job.rdma.post(0, fma=False, desc=PostDescriptor(
             post_type=PostType.PUT, local_mem=h_src, remote_mem=h_dst,
             length=64 * KB))
         # the BTE transfer is still in flight when the source window dies
@@ -95,7 +95,7 @@ class TestSeededViolations:
         h_dst, _ = job.MemRegister(dst)
         job.MemDeregister(h_src)
         with pytest.raises((UgniInvalidParam, UgniNotRegistered)):
-            job.PostRdma(0, PostDescriptor(
+            job.rdma.post(0, fma=False, desc=PostDescriptor(
                 post_type=PostType.PUT, local_mem=h_src, remote_mem=h_dst,
                 length=4 * KB))
         assert "use-after-free-rdma" in kinds(m)
@@ -110,7 +110,7 @@ class TestSeededViolations:
         h_dst, _ = job.MemRegister(dst)
         # the arena registration is still valid, so uGNI validation passes:
         # only the sanitizer knows this span was returned to the pool
-        job.PostRdma(0, PostDescriptor(
+        job.rdma.post(0, fma=False, desc=PostDescriptor(
             post_type=PostType.PUT, local_mem=block.mem_handle,
             remote_mem=h_dst, length=8 * KB, local_addr=block.addr))
         assert "use-after-free-rdma" in kinds(m)
@@ -162,9 +162,9 @@ class TestSeededViolations:
     @pytest.mark.sanitize_violations
     def test_credit_leak_at_quiescence(self):
         m, job = san_job()
-        job.SmsgSendWTag(0, 1, 7, 128)
+        job.smsg.send(0, 1, 7, 128)
         m.engine.run()
-        msg, _ = job.SmsgGetNextWTag(1)
+        msg, _ = job.smsg.get_next(1)
         assert msg is not None
         conn = job.smsg._connections[(0, 1)]
         conn.take_credit(64)          # credit held with nothing outstanding
@@ -174,7 +174,7 @@ class TestSeededViolations:
     @pytest.mark.sanitize_violations
     def test_undelivered_message_at_quiescence(self):
         m, job = san_job()
-        job.SmsgSendWTag(0, 1, 7, 128)
+        job.smsg.send(0, 1, 7, 128)
         m.engine.run()
         # steal the CQ entry without GNI_SmsgGetNextWTag: the message is
         # now neither consumed, dropped, nor anywhere recoverable
@@ -196,9 +196,9 @@ class TestSeededViolations:
 
     def test_clean_raw_exchange_stays_clean(self):
         m, job = san_job()
-        job.SmsgSendWTag(0, 1, 7, 256)
+        job.smsg.send(0, 1, 7, 256)
         m.engine.run()
-        msg, _ = job.SmsgGetNextWTag(1)
+        msg, _ = job.smsg.get_next(1)
         assert msg is not None
         m.engine.run()
         assert m.sanitizer.violations == []

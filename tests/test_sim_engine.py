@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Engine, Event
-from repro.sim.process import Process, all_of, any_of
+from repro.sim.process import Process
 
 
 class TestScheduling:
@@ -270,37 +270,6 @@ class TestProcess:
         Process(eng, proc())
         eng.run()
         assert times == [0.0, 0.0]
-
-
-class TestCombinators:
-    def test_all_of_waits_for_every_event(self):
-        eng = Engine()
-        evs = [eng.timeout(i * 1e-6, i) for i in (3, 1, 2)]
-        done = all_of(eng, evs)
-        got = []
-        done.add_callback(lambda v: got.append((eng.now, v)))
-        eng.run()
-        assert got == [(pytest.approx(3e-6), [3, 1, 2])]
-
-    def test_all_of_empty_triggers_immediately(self):
-        eng = Engine()
-        done = all_of(eng, [])
-        eng.run()
-        assert done.triggered and done.value == []
-
-    def test_any_of_returns_first_winner(self):
-        eng = Engine()
-        evs = [eng.timeout(5e-6, "slow"), eng.timeout(1e-6, "fast")]
-        first = any_of(eng, evs)
-        got = []
-        first.add_callback(got.append)
-        eng.run()
-        assert got == [(1, "fast")]
-
-    def test_any_of_empty_rejected(self):
-        eng = Engine()
-        with pytest.raises(SimulationError):
-            any_of(eng, [])
 
 
 class TestDeterminism:

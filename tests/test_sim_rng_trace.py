@@ -35,13 +35,6 @@ class TestRng:
         b = list(RngRegistry(2).stream("x").integers(0, 10**9, size=5))
         assert a != b
 
-    def test_reset_recreates_streams(self):
-        reg = RngRegistry(3)
-        first = list(reg.stream("x").integers(0, 10**9, size=3))
-        reg.reset()
-        again = list(reg.stream("x").integers(0, 10**9, size=3))
-        assert first == again
-
 
 class TestUnits:
     def test_pages(self):
@@ -61,12 +54,3 @@ class TestUnits:
         assert units.fmt_size(1024) == "1K"
         assert units.fmt_size(64 * 1024) == "64K"
         assert units.fmt_size(4 * 1024 * 1024) == "4M"
-
-    def test_parse_size_roundtrip(self):
-        for n in [8, 88, 1024, 64 * 1024, 1024 * 1024, 4 * 1024 * 1024]:
-            assert units.parse_size(units.fmt_size(n)) == n
-
-    def test_parse_size_forms(self):
-        assert units.parse_size(" 16k ") == 16 * 1024
-        assert units.parse_size("2M") == 2 * 1024 * 1024
-        assert units.parse_size("512B") == 512

@@ -26,12 +26,12 @@ class TestCompletionQueue:
         cq = job.CqCreate()
         for i in range(3):
             cq.push(CqEntry(CqEventKind.POST_DONE, float(i), tag=i))
-        assert [job.CqGetEvent(cq).tag for _ in range(3)] == [0, 1, 2]
+        assert [cq.get_event().tag for _ in range(3)] == [0, 1, 2]
 
     def test_empty_returns_none(self):
         m, job = make_job()
         cq = job.CqCreate()
-        assert job.CqGetEvent(cq) is None
+        assert cq.get_event() is None
 
     def test_overrun_counted_not_dropped(self):
         m, job = make_job()
@@ -106,10 +106,10 @@ class TestMemRegistration:
 class TestSmsg:
     def test_delivery_and_payload(self):
         m, job = make_job()
-        cpu = job.SmsgSendWTag(0, 2, tag=7, nbytes=88, payload={"hello": 1})
+        cpu = job.smsg.send(0, 2, tag=7, nbytes=88, payload={"hello": 1})
         assert cpu > 0
         m.engine.run()
-        msg, rcpu = job.SmsgGetNextWTag(2)
+        msg, rcpu = job.smsg.get_next(2)
         assert msg is not None
         assert msg.tag == 7 and msg.payload == {"hello": 1}
         assert msg.src_pe == 0
@@ -118,7 +118,7 @@ class TestSmsg:
     def test_small_message_latency_calibration(self):
         """8B SMSG inter-node ≈ 1.2us (paper's pure-uGNI number)."""
         m, job = make_job()
-        job.SmsgSendWTag(0, 2, tag=0, nbytes=8)
+        job.smsg.send(0, 2, tag=0, nbytes=8)
         times = []
         job.smsg.rx_cq(2).on_event = lambda cq: times.append(m.engine.now)
         m.engine.run()
@@ -128,12 +128,12 @@ class TestSmsg:
     def test_oversize_rejected(self):
         m, job = make_job()
         with pytest.raises(UgniInvalidParam):
-            job.SmsgSendWTag(0, 2, tag=0, nbytes=job.smsg.max_size + 1)
+            job.smsg.send(0, 2, tag=0, nbytes=job.smsg.max_size + 1)
 
     def test_send_to_self_rejected(self):
         m, job = make_job()
         with pytest.raises(UgniInvalidParam):
-            job.SmsgSendWTag(3, 3, tag=0, nbytes=8)
+            job.smsg.send(3, 3, tag=0, nbytes=8)
 
     def test_credit_exhaustion_and_release(self):
         m, job = make_job()
@@ -141,23 +141,23 @@ class TestSmsg:
         sent = 0
         with pytest.raises(UgniNoSpace):
             while True:
-                job.SmsgSendWTag(0, 2, tag=0, nbytes=size)
+                job.smsg.send(0, 2, tag=0, nbytes=size)
                 sent += 1
         assert sent > 0
         m.engine.run()
         # drain everything: credits release, sending works again
         for _ in range(sent):
-            msg, _ = job.SmsgGetNextWTag(2)
+            msg, _ = job.smsg.get_next(2)
             assert msg is not None
-        job.SmsgSendWTag(0, 2, tag=0, nbytes=size)
+        job.smsg.send(0, 2, tag=0, nbytes=size)
 
     def test_mailbox_memory_grows_with_connections(self):
         m, job = make_job(n_nodes=4, cores_per_node=2)
         base = job.smsg.total_mailbox_memory
-        job.SmsgSendWTag(0, 2, tag=0, nbytes=8)
+        job.smsg.send(0, 2, tag=0, nbytes=8)
         one = job.smsg.total_mailbox_memory
-        job.SmsgSendWTag(0, 4, tag=0, nbytes=8)
-        job.SmsgSendWTag(0, 6, tag=0, nbytes=8)
+        job.smsg.send(0, 4, tag=0, nbytes=8)
+        job.smsg.send(0, 6, tag=0, nbytes=8)
         three = job.smsg.total_mailbox_memory
         assert base == 0
         assert three == 3 * one
@@ -165,28 +165,28 @@ class TestSmsg:
     def test_in_flight_accounting(self):
         m, job = make_job()
         for i in range(5):
-            job.SmsgSendWTag(0, 2, tag=i, nbytes=32)
+            job.smsg.send(0, 2, tag=i, nbytes=32)
         assert job.smsg.in_flight() == 5
         m.engine.run()
         for _ in range(5):
-            job.SmsgGetNextWTag(2)
+            job.smsg.get_next(2)
         assert job.smsg.in_flight() == 0
 
     def test_intranode_uses_loopback(self):
         m, job = make_job(n_nodes=2, cores_per_node=4)
-        job.SmsgSendWTag(0, 1, tag=0, nbytes=64)  # same node
+        job.smsg.send(0, 1, tag=0, nbytes=64)  # same node
         m.engine.run()
-        msg, _ = job.SmsgGetNextWTag(1)
+        msg, _ = job.smsg.get_next(1)
         assert msg is not None
 
     def test_fifo_per_connection(self):
         m, job = make_job()
         for i in range(10):
-            job.SmsgSendWTag(0, 2, tag=i, nbytes=16)
+            job.smsg.send(0, 2, tag=i, nbytes=16)
         m.engine.run()
         tags = []
         while True:
-            msg, _ = job.SmsgGetNextWTag(2)
+            msg, _ = job.smsg.get_next(2)
             if msg is None:
                 break
             tags.append(msg.tag)
@@ -205,7 +205,7 @@ class TestMsgq:
 
     def test_msgq_slower_than_smsg(self):
         m, job = make_job()
-        t_smsg = job.SmsgSendWTag(0, 2, tag=0, nbytes=64)
+        t_smsg = job.smsg.send(0, 2, tag=0, nbytes=64)
         t_msgq = job.msgq.send(0, 4, tag=0, nbytes=64)
         assert t_msgq > t_smsg
 
@@ -242,11 +242,11 @@ class TestRdma:
         lh, rh = self._registered_pair(job, m, 4 * KB, dst_cq=dst_cq)
         desc = PostDescriptor(PostType.PUT, local_mem=lh, remote_mem=rh,
                               length=4 * KB, src_cq=src_cq)
-        cpu = job.PostFma(0, desc)
+        cpu = job.rdma.post(0, desc, fma=True)
         assert cpu > 0
         m.engine.run()
-        local = job.CqGetEvent(src_cq)
-        remote = job.CqGetEvent(dst_cq)
+        local = src_cq.get_event()
+        remote = dst_cq.get_event()
         assert local.kind is CqEventKind.POST_DONE
         assert remote.kind is CqEventKind.REMOTE_DATA
         # data must land before/with the local completion
@@ -259,10 +259,10 @@ class TestRdma:
         lh, rh = self._registered_pair(job, m, 4 * KB, dst_cq=dst_cq)
         desc = PostDescriptor(PostType.GET, local_mem=lh, remote_mem=rh,
                               length=4 * KB, src_cq=src_cq)
-        job.PostRdma(0, desc)
+        job.rdma.post(0, desc, fma=False)
         m.engine.run()
-        assert job.CqGetEvent(src_cq) is not None
-        assert job.CqGetEvent(dst_cq) is None
+        assert src_cq.get_event() is not None
+        assert dst_cq.get_event() is None
 
     @pytest.mark.sanitize_violations
     def test_unregistered_memory_rejected(self):
@@ -271,7 +271,7 @@ class TestRdma:
         job.MemDeregister(rh)
         desc = PostDescriptor(PostType.PUT, local_mem=lh, remote_mem=rh, length=4 * KB)
         with pytest.raises(UgniNotRegistered):
-            job.PostFma(0, desc)
+            job.rdma.post(0, desc, fma=True)
 
     def test_out_of_bounds_transaction_rejected(self):
         m, job = make_job()
@@ -279,14 +279,14 @@ class TestRdma:
         desc = PostDescriptor(PostType.PUT, local_mem=lh, remote_mem=rh,
                               length=8 * KB)
         with pytest.raises(UgniNotRegistered):
-            job.PostFma(0, desc)
+            job.rdma.post(0, desc, fma=True)
 
     def test_post_from_wrong_node_rejected(self):
         m, job = make_job()
         lh, rh = self._registered_pair(job, m, 4 * KB)
         desc = PostDescriptor(PostType.PUT, local_mem=lh, remote_mem=rh, length=4 * KB)
         with pytest.raises(UgniInvalidParam):
-            job.PostFma(2, desc)
+            job.rdma.post(2, desc, fma=True)
 
     def test_zero_length_rejected(self):
         m, job = make_job()
@@ -305,7 +305,7 @@ class TestRdma:
                                   length=512, src_cq=cq)
             job2.rdma.post(0, desc, fma=fma)
             m2.engine.run()
-            done[name] = job2.CqGetEvent(cq).time
+            done[name] = cq.get_event().time
         assert done["fma"] < done["bte"]
 
     def test_post_best_switches_at_crossover(self):
@@ -315,22 +315,11 @@ class TestRdma:
         lh, rh = self._registered_pair(job, m, 64 * KB)
         small = PostDescriptor(PostType.GET, local_mem=lh, remote_mem=rh, length=1 * KB)
         big = PostDescriptor(PostType.GET, local_mem=lh, remote_mem=rh, length=64 * KB)
-        cpu_small = job.PostBest(0, small)
-        cpu_big = job.PostBest(0, big)
+        cpu_small = job.rdma.post_best(0, small)
+        cpu_big = job.rdma.post_best(0, big)
         # FMA for 1K: cpu includes per-byte; BTE for 64K: flat post cost
         assert cpu_small > cfg.fma_issue_cpu
         assert cpu_big == pytest.approx(cfg.bte_post_cpu)
-
-    def test_amo_roundtrip(self):
-        m, job = make_job()
-        cq = job.CqCreate()
-        lh, rh = self._registered_pair(job, m, 64)
-        desc = PostDescriptor(PostType.AMO, local_mem=lh, remote_mem=rh,
-                              length=8, src_cq=cq)
-        job.PostFma(0, desc)
-        m.engine.run()
-        ev = job.CqGetEvent(cq)
-        assert ev is not None and ev.kind is CqEventKind.POST_DONE
 
     def test_local_node_post_uses_loopback(self):
         m, job = make_job(n_nodes=2, cores_per_node=4)
@@ -341,6 +330,6 @@ class TestRdma:
         rh, _ = job.MemRegister(dst_blk)
         desc = PostDescriptor(PostType.PUT, local_mem=lh, remote_mem=rh,
                               length=4 * KB, src_cq=cq)
-        job.PostFma(0, desc)
+        job.rdma.post(0, desc, fma=True)
         m.engine.run()
-        assert job.CqGetEvent(cq) is not None
+        assert cq.get_event() is not None
